@@ -6,7 +6,8 @@
 //
 // Invoked with `--json <path>` it instead runs a fixed decode/prefill shape
 // matrix over every supported ISA (scalar + the host's best) on pre-packed
-// weights and writes machine-readable records (GOPS, GB/s, shape) — the
+// weights, plus the FP16 LM head (gemm_fp16w) at decode and verify shapes,
+// and writes machine-readable records (GOPS, GB/s, shape) — the
 // artifact bench/check_regression.py compares against bench/baseline.json.
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/half.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "kernels/cpu/isa.h"
@@ -194,6 +196,18 @@ int64_t w8_bytes_touched(int64_t m, int64_t n, int64_t k) {
   return m * k + n * k + m * n * 2;
 }
 
+// The FP16 LM head at the served-model shape (vocab 1024, hidden 512): one
+// decode row, and the 8 rows of a speculative verify span.
+constexpr JsonShape kLmHeadShapes[] = {
+    {1, 1024, 512, "decode", 30},
+    {8, 1024, 512, "verify", 10},
+};
+
+// FP32 activations, binary16 weights, FP32 logits.
+int64_t fp16w_bytes_touched(int64_t m, int64_t n, int64_t k) {
+  return m * k * 4 + n * k * 2 + m * n * 4;
+}
+
 int run_json_suite(const std::string& path) {
   std::vector<benchutil::GemmBenchRecord> rows;
   // scalar first, then the host's best ISA (skipped when the host is
@@ -241,6 +255,28 @@ int run_json_suite(const std::string& path) {
             std::string(c.name) + "/" + shape.tag, cpu::isa_name(isa),
             shape.m, shape.n, shape.k, secs, c.bytes));
       }
+      cpu::clear_isa_override();
+    }
+  }
+  for (const JsonShape& shape : kLmHeadShapes) {
+    Rng rng(7);
+    Tensor x({shape.m, shape.k});
+    U16Tensor w({shape.n, shape.k});
+    for (int64_t i = 0; i < x.numel(); ++i) x[i] = rng.normal();
+    for (int64_t i = 0; i < w.numel(); ++i)
+      w[i] = detail::float_to_half_bits(rng.normal());
+    for (cpu::Isa isa : isas) {
+      cpu::set_isa(isa);
+      const double secs = benchutil::time_best_of(
+          [&] {
+            const Tensor y = gemm_fp16w(x, w);
+            sink += y[0];
+          },
+          shape.reps);
+      rows.push_back(benchutil::make_record(
+          std::string("lm_head_fp16/") + shape.tag, cpu::isa_name(isa),
+          shape.m, shape.n, shape.k, secs,
+          fp16w_bytes_touched(shape.m, shape.n, shape.k)));
       cpu::clear_isa_override();
     }
   }

@@ -59,25 +59,15 @@ inline uint16_t float_to_half_bits(float f) {
 
 inline float half_bits_to_float(uint16_t h) {
   const uint32_t sign = static_cast<uint32_t>(h & 0x8000u) << 16;
-  const uint32_t exp = (h >> 10) & 0x1Fu;
-  const uint32_t mant = h & 0x3FFu;
-
-  if (exp == 0x1Fu) {  // inf / NaN
-    return bit_cast<float>(sign | 0x7F800000u | (mant << 13));
-  }
-  if (exp == 0) {
-    if (mant == 0) return bit_cast<float>(sign);  // zero
-    // Subnormal: normalize.
-    int e = -1;
-    uint32_t m = mant;
-    do {
-      ++e;
-      m <<= 1;
-    } while ((m & 0x400u) == 0);
-    return bit_cast<float>(sign | ((127 - 15 - e) << 23) |
-                                ((m & 0x3FFu) << 13));
-  }
-  return bit_cast<float>(sign | ((exp + 112) << 23) | (mant << 13));
+  const uint32_t em = h & 0x7FFFu;  // exponent and mantissa
+  // Normal: rebias the exponent (15 -> 127) in place. One unsigned compare
+  // selects this common case; the rest is the rare path.
+  if (em - 0x0400u < 0x7800u)
+    return bit_cast<float>(sign | ((em << 13) + (112u << 23)));
+  if (em >= 0x7C00u)  // inf / NaN: keep the payload
+    return bit_cast<float>(sign | 0x7F800000u | ((em & 0x3FFu) << 13));
+  // Zero / subnormal: the value is mant * 2^-24, exact in float.
+  return bit_cast<float>(sign | bit_cast<uint32_t>(float(em) * 0x1p-24f));
 }
 
 }  // namespace detail

@@ -18,15 +18,23 @@ using attn_inline::token_params;
 template <KvRunKind K>
 void qk_dot_scalar_t(const float* q, const KvHeadRun& run, int head_dim,
                      float* dots) {
+  const int blocks = head_dim & ~(kQkLanes - 1);
   for (int64_t t = 0; t < run.n_tokens; ++t) {
     const uint8_t* ct = run.codes ? run.codes + t * run.stride : nullptr;
     const uint16_t* ht =
         run.half_bits ? run.half_bits + t * run.stride : nullptr;
     const float* ft = run.f32 ? run.f32 + t * run.stride : nullptr;
     const auto p = token_params<K>(run, t);
-    // The canonical 16-lane accumulation: lane d & 15, increasing d.
+    // The canonical 16-lane accumulation: lane d & 15, increasing d. Whole
+    // 16-element blocks add one element to every lane (a fixed-trip inner
+    // loop the compiler can keep in registers), then the tail continues
+    // the same lane walk, so each lane sees the same add sequence.
     float lanes[kQkLanes] = {};
-    for (int d = 0; d < head_dim; ++d)
+    for (int d = 0; d < blocks; d += kQkLanes)
+      for (int l = 0; l < kQkLanes; ++l)
+        lanes[l] += q[d + l] * run_element<K>(ct, ht, ft, d + l, p.scale,
+                                              p.zero);
+    for (int d = blocks; d < head_dim; ++d)
       lanes[d & (kQkLanes - 1)] +=
           q[d] * run_element<K>(ct, ht, ft, d, p.scale, p.zero);
     dots[t] = fold_qk_lanes(lanes);

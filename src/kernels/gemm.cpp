@@ -1,11 +1,13 @@
 #include "kernels/gemm.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/half.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
+#include "kernels/cpu/attention_kernel.h"
 #include "kernels/cpu/microkernel.h"
 #include "kernels/rlp.h"
 
@@ -24,6 +26,10 @@ constexpr int64_t kKcBlock = 1024;
 // for m == 1 the stream walk is pure overhead (one fragment feeds one
 // output), and decode-layer weights are always far above this threshold.
 constexpr int64_t kStreamedDecodeBypassElems = 1 << 14;
+
+// Output rows per gemm_fp16w block: 64 rows of a 512-wide binary16 matrix
+// are 64 KiB, which stays L2-resident while every input row passes over it.
+constexpr int64_t kFp16wRowBlock = 64;
 
 // Panels per parallel_for chunk, derived from the panel count and the pool
 // size so small-n decode layers spread over every worker instead of
@@ -115,6 +121,28 @@ Tensor gemm_f32_ref(const Tensor& x, const Tensor& w) {
       y.at2(t, r) = static_cast<float>(acc);
     }
   }
+  return y;
+}
+
+Tensor gemm_fp16w(const Tensor& x, const U16Tensor& w) {
+  QS_CHECK_EQ(x.cols(), w.cols());
+  const int64_t m = x.rows(), k = w.cols(), n = w.rows();
+  QS_CHECK_LE(k, int64_t(std::numeric_limits<int>::max()));
+  Tensor y({m, n});
+  const cpu::AttentionKernels& kern =
+      cpu::attention_kernel_for(cpu::active_isa());
+  parallel_for(0, ceil_div(n, kFp16wRowBlock), 1, [&](int64_t b0, int64_t b1) {
+    for (int64_t b = b0; b < b1; ++b) {
+      const int64_t r0 = b * kFp16wRowBlock;
+      cpu::KvHeadRun run;
+      run.kind = cpu::KvRunKind::kFp16;
+      run.n_tokens = std::min(kFp16wRowBlock, n - r0);
+      run.half_bits = w.row(r0);
+      run.stride = k;
+      for (int64_t t = 0; t < m; ++t)
+        kern.qk_dot(x.row(t), run, static_cast<int>(k), y.row(t) + r0);
+    }
+  });
   return y;
 }
 

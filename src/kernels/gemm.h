@@ -14,8 +14,12 @@
 //   gemm_w4a4_atom         — Atom path: INT4 MACs with per-group FP32
 //                            partial-sum dequantization in the main loop.
 //   gemm_w4a16             — weight-only path: FP16 dequant in the main loop.
+//   gemm_fp16w             — FP16 weights (binary16 bits), FP32 activations
+//                            and accumulation: the LM head and the FP16
+//                            scheme's projections.
 //
-// Outputs are rounded through FP16 (the GPU kernels emit FP16).
+// Outputs are rounded through FP16 (the GPU kernels emit FP16), except
+// gemm_fp16w, which returns raw FP32 dots.
 //
 // The three INT8-path kernels (w8a8, w4a8 per-channel, w4a8 per-group) run on
 // runtime-dispatched SIMD microkernels (kernels/cpu/) over a cache-blocked,
@@ -29,8 +33,23 @@
 
 namespace qserve {
 
-// FP32 reference (stands in for the FP16 tensor-core baseline).
+// FP32 reference (stands in for the FP16 tensor-core baseline). Serial,
+// double accumulation: the numerics oracle for the reference model, the
+// offline QoQ transforms and the tests, not a serving path.
 Tensor gemm_f32_ref(const Tensor& x, const Tensor& w);
+
+// y[t, r] = dot(x[t, :], half(w[r, :])) over binary16 weight bits w [n, k].
+// Each dot is one call of the ISA-dispatched attention QK kernel
+// (cpu::AttentionKernels::qk_dot on a KvRunKind::kFp16 run), so it inherits
+// that kernel's canonical reduction order: 16 virtual lanes, pairwise fold,
+// mul-then-add without FMA, exact half -> float conversion. A dot depends
+// only on its own x row and w row, so y is bitwise identical across ISAs,
+// thread counts and the number of rows m in the call (a row's logits do not
+// depend on which batch it was stacked into). Against gemm_f32_ref on the
+// same half-rounded weights the only difference is FP32 vs double
+// accumulation. Threads split the output rows into fixed blocks; each block's
+// weights stay cache-resident while all m rows of x pass over them.
+Tensor gemm_fp16w(const Tensor& x, const U16Tensor& w);
 
 // Raw INT8 x INT8 -> INT32 (the "tensor core" primitive).
 I32Tensor gemm_i8i8_i32(const I8Tensor& x, const I8Tensor& w);

@@ -152,9 +152,9 @@ QuantizedLinear::QuantizedLinear(const Tensor& w,
   const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
   switch (scheme_) {
     case WeightScheme::kFp16:
-      fp_ = w;
-      for (int64_t i = 0; i < fp_.numel(); ++i)
-        fp_[i] = to_half_precision(fp_[i]);
+      fp16_ = U16Tensor({w.rows(), w.cols()});
+      for (int64_t i = 0; i < w.numel(); ++i)
+        fp16_[i] = detail::float_to_half_bits(w[i]);
       break;
     case WeightScheme::kW8PerChannel:
       packed_ = pack_gemm_b(quantize_w8_per_channel(w), nr);
@@ -245,7 +245,7 @@ const std::vector<float>& QuantizedLinear::epilogue_zp_term() const {
 Tensor QuantizedLinear::apply(const Tensor& x) const {
   switch (scheme_) {
     case WeightScheme::kFp16:
-      return gemm_f32_ref(x, fp_);
+      return gemm_fp16w(x, fp16_);
     // The INT8 paths hit the pre-packed blocked GEMM: weight tiles were
     // interleaved (and, for per-group, dequantized to level-1 codes) once at
     // construction, and a stacked prefill reuses each tile across all its
@@ -352,7 +352,12 @@ QuantizedModel::QuantizedModel(const ModelWeights& weights,
     }
   }
   ln_final_ = weights.ln_final;
-  // The LM head stays FP16 in all configurations (standard practice).
+  // The LM head stays FP16 in every scheme (standard practice): binary16
+  // weight bits, FP32 activations, and dots in the attention QK kernel's
+  // canonical order (gemm_fp16w) — 16 lanes, pairwise fold, no FMA. Logits
+  // are therefore bitwise identical across ISAs, thread counts and the
+  // number of rows in the call, so batched steps and verify spans score
+  // exactly what single-row decode does.
   QuantSchemeConfig head_cfg = cfg;
   head_cfg.weights = WeightScheme::kFp16;
   head_cfg.acts = ActScheme::kFp16;
@@ -438,9 +443,11 @@ Tensor QuantizedModel::run_blocks_batched(const std::vector<SeqSpan>& spans,
     auto& layer = layers_[li];
     // Attention block. Every projection runs ONE GEMM over the whole row
     // stack — all sequences' decode tokens and prefill chunks together.
-    // Activation quantization is fused into RMSNorm (QuantizedLinear::apply
-    // re-runs the same deterministic per-row quantizer), so stacking rows
-    // from different sequences changes no per-row numerics.
+    // Activation quantization is not fused into RMSNorm here: wq, wk and wv
+    // each quantize h again inside QuantizedLinear::apply (and w_gate/w_up
+    // each quantize h2); the tensor-parallel path quantizes each once. The
+    // per-row quantizer is deterministic, so the repeats agree and stacking
+    // rows from different sequences changes no per-row numerics.
     Tensor h = rms_norm(x, layer.ln_attn);
     Tensor q = layer.wq.apply(h);
     Tensor k = layer.wk.apply(h);

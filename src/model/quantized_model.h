@@ -96,7 +96,9 @@ class QuantizedLinear {
   WeightScheme scheme_ = WeightScheme::kFp16;
   ActScheme acts_ = ActScheme::kFp16;
   int64_t n_ = 0;
-  Tensor fp_;
+  // kFp16 keeps only the binary16 bits [n, k] (half the bytes of an FP32
+  // copy); apply() runs gemm_fp16w over them.
+  U16Tensor fp16_;
   W4A16PerGroup w4a16_;
   W4A4PerGroup w4a4_;
   // INT8-path schemes (W8A8, per-channel/per-group W4A8) keep only this

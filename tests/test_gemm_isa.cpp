@@ -5,12 +5,17 @@
 // and both protective-range and naive-range (deliberate INT8 overflow)
 // per-group weights. Also covers the QSERVE_ISA override plumbing and the
 // streamed kernel's single-token bypass.
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/half.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "kernels/cpu/isa.h"
 #include "kernels/cpu/microkernel.h"
@@ -167,6 +172,75 @@ TEST(GemmIsaEquivalence, W4A8PerGroupNaiveRangeOverflowWraps) {
                      return gemm_w4a8_per_group(x, w);
                    },
                    "w4a8_per_group_naive");
+  }
+}
+
+TEST(GemmIsaEquivalence, Fp16WeightLinear) {
+  // The FP16 QuantizedLinear (the LM head of every scheme) runs gemm_fp16w:
+  // binary16 weight bits dotted in the attention QK kernel's canonical
+  // 16-lane order. Checks, per shape: bitwise identity across ISA x {1, 8}
+  // threads; row t of an m-row call equals the 1-row call on that row; and
+  // FP32 accumulation stays within the summation error bound of the double
+  // reference on the same half-rounded weights. The odd k (131, 96 and 132
+  // are not multiples of 16) exercise the kernel's lane tail; n is taken
+  // both as listed and widened past several 64-row blocks with a partial
+  // last block.
+  uint64_t seed = 500;
+  for (const Shape& s : kShapes) {
+    for (const int64_t n : {s.n, 4 * s.n + 1}) {
+      SCOPED_TRACE("m=" + std::to_string(s.m) + " n=" + std::to_string(n) +
+                   " k=" + std::to_string(s.k));
+      const Tensor x = random_acts(s.m, s.k, seed++);
+      const Tensor w = random_weights(n, s.k, seed++);
+
+      const QuantizedLinear lin(w, QuantSchemeConfig::fp16());
+      Tensor ref;
+      {
+        IsaGuard guard(Isa::kScalar);
+        set_num_threads(1);
+        ref = lin.apply(x);
+      }
+      for (Isa isa : supported_isas()) {
+        for (int threads : {1, 8}) {
+          IsaGuard guard(isa);
+          set_num_threads(threads);
+          SCOPED_TRACE(std::string(cpu::isa_name(isa)) +
+                       " threads=" + std::to_string(threads));
+          expect_bitwise_equal(ref, lin.apply(x), "fp16w_isa_threads");
+          for (int64_t t = 0; t < s.m; ++t) {
+            Tensor xt({1, s.k});
+            std::copy(x.row(t), x.row(t) + s.k, xt.data());
+            const Tensor yt = lin.apply(xt);
+            EXPECT_EQ(0, std::memcmp(ref.row(t), yt.data(),
+                                     sizeof(float) * static_cast<size_t>(n)))
+                << "row " << t << " of the m-row call differs from 1-row";
+          }
+        }
+      }
+      set_num_threads(0);
+
+      // Reference: the serial double-accumulating loop on the same
+      // half-rounded weights. Each FP32 dot rounds one product and at most
+      // ceil(k/16) lane adds, 4 fold adds, and the reference rounds its
+      // double sum once, so |y - ref| <= (ceil(k/16) + 6) * 2^-24 *
+      // sum_c |x_c * w_c| to first order; the bound doubles that.
+      Tensor wh = w;
+      for (int64_t i = 0; i < wh.numel(); ++i)
+        wh[i] = to_half_precision(wh[i]);
+      const Tensor dref = gemm_f32_ref(x, wh);
+      const double u = std::ldexp(1.0, -24);
+      const double terms = double((s.k + 15) / 16 + 6);
+      for (int64_t t = 0; t < s.m; ++t) {
+        for (int64_t r = 0; r < n; ++r) {
+          double mag = 0.0;
+          for (int64_t c = 0; c < s.k; ++c)
+            mag += std::fabs(double(x.at2(t, c)) * double(wh.at2(r, c)));
+          ASSERT_LE(std::fabs(double(ref.at2(t, r)) - double(dref.at2(t, r))),
+                    2.0 * terms * u * mag)
+              << "t=" << t << " r=" << r;
+        }
+      }
+    }
   }
 }
 

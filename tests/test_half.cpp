@@ -26,6 +26,29 @@ TEST(Half, RoundTripPreservesRepresentableValues) {
   }
 }
 
+TEST(Half, BitsToFloatMatchesDefinitionForEveryPattern) {
+  // half_bits_to_float against the binary16 definition, bit for bit (signed
+  // zeros included): subnormal = mant * 2^-24, normal = (1024 + mant) *
+  // 2^(exp - 25), inf/NaN keep the payload in the top mantissa bits (what
+  // vcvtph2ps produces for a quiet NaN).
+  for (uint32_t bits = 0; bits < 0x10000u; ++bits) {
+    const uint32_t sign = bits >> 15, exp = (bits >> 10) & 0x1Fu,
+                   mant = bits & 0x3FFu;
+    float want;
+    if (exp == 0x1Fu) {
+      want = detail::bit_cast<float>((sign << 31) | 0x7F800000u | (mant << 13));
+    } else {
+      const float mag =
+          exp == 0 ? std::ldexp(float(mant), -24)
+                   : std::ldexp(float(1024 + mant), int(exp) - 25);
+      want = sign ? -mag : mag;
+    }
+    const float got = detail::half_bits_to_float(static_cast<uint16_t>(bits));
+    EXPECT_EQ(detail::bit_cast<uint32_t>(want), detail::bit_cast<uint32_t>(got))
+        << "bits=" << bits;
+  }
+}
+
 TEST(Half, RoundsToNearestEven) {
   // 1.0 + 2^-11 is exactly halfway between 1.0 and the next half; ties to
   // even keep 1.0.
