@@ -1,6 +1,6 @@
 // Persistent thread-pool parallel-for for the CPU hot paths (GEMM main
-// loops, batched attention, the serving engine's per-request fan-out), plus
-// the shard-partitioned execution substrate for tensor parallelism.
+// loops, batched attention, KV scatter), plus the shard-partitioned
+// execution substrate for tensor parallelism.
 //
 // Design notes:
 //  - The global pool is created lazily on the first parallel_for and lives
@@ -18,9 +18,6 @@
 //    inline. parallel_for enforces this by checking in_parallel_region()
 //    before dispatch; ThreadPool::run carries a Debug QS_DCHECK as a
 //    regression guard for any future caller that bypasses parallel_for.
-//    The serving engine exploits inline nesting — fanning out across
-//    requests serializes the per-request GEMM loops, while a
-//    single-request step still parallelizes inside the kernels.
 //  - Exceptions thrown by the body (e.g. QS_CHECK) are captured and rethrown
 //    on the calling thread after the region drains, so QS_CHECK keeps its
 //    crash-over-corruption contract under parallel execution.

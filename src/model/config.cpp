@@ -1,5 +1,7 @@
 #include "model/config.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace qserve {
@@ -19,10 +21,12 @@ std::vector<ModelConfig> published_models() {
 }
 
 ModelConfig model_by_name(const std::string& name) {
-  for (const auto& m : published_models()) {
-    if (m.name == name) return m;
-  }
-  QS_CHECK_MSG(false, "unknown model: " << name);
+  const std::vector<ModelConfig> models = published_models();
+  const auto it =
+      std::find_if(models.begin(), models.end(),
+                   [&](const ModelConfig& m) { return m.name == name; });
+  QS_CHECK_MSG(it != models.end(), "unknown model: " << name);
+  return *it;
 }
 
 ModelConfig toy_config(int n_layers) {

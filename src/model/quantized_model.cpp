@@ -87,6 +87,31 @@ I32Tensor reduce_partials(const std::vector<I32Tensor>& parts) {
   return out;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Reduction boundary (comm): concatenate per-shard column slices — slice s
+// lands at column col0(s) — back into full [rows, cols] rows, adding the
+// copy time to `comm_seconds`. A single part already is the full matrix and
+// is moved out untouched.
+template <typename Col0>
+Tensor concat_cols(std::vector<Tensor>& parts, int64_t cols, Col0 col0,
+                   double& comm_seconds) {
+  if (parts.size() == 1) return std::move(parts[0]);
+  const auto t0 = std::chrono::steady_clock::now();
+  Tensor out({parts[0].rows(), cols});
+  for (size_t s = 0; s < parts.size(); ++s) {
+    const Tensor& p = parts[s];
+    const int64_t c0 = col0(static_cast<int>(s));
+    for (int64_t t = 0; t < p.rows(); ++t)
+      std::copy(p.row(t), p.row(t) + p.cols(), out.row(t) + c0);
+  }
+  comm_seconds += seconds_since(t0);
+  return out;
+}
+
 }  // namespace
 
 // --- scheme presets -----------------------------------------------------------
@@ -145,11 +170,33 @@ QuantSchemeConfig QuantSchemeConfig::fp16() {
 
 QuantizedLinear::QuantizedLinear(const Tensor& w,
                                  const QuantSchemeConfig& cfg)
-    : scheme_(cfg.weights), acts_(cfg.acts), n_(w.rows()) {
-  // INT8-path schemes are packed for the ISA active at construction; the
-  // blocked driver falls back to the scalar microkernel if the active ISA
-  // changes to an incompatible vector width afterwards.
-  const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
+    : QuantizedLinear(w, cfg, {PackSlice{0, w.rows(), 0, w.cols()}}) {}
+
+QuantizedLinear::QuantizedLinear(const Tensor& w, const QuantSchemeConfig& cfg,
+                                 const std::vector<PackSlice>& shard_slices)
+    : scheme_(cfg.weights), n_(w.rows()) {
+  QS_CHECK_MSG(!shard_slices.empty(), "QuantizedLinear needs a slice");
+  const PackSlice& s0 = shard_slices[0];
+  QS_CHECK_MSG(int8_path_scheme(scheme_) ||
+                   (shard_slices.size() == 1 && s0.row0 == 0 &&
+                    s0.row1 == w.rows() && s0.col0 == 0 &&
+                    s0.col1 == w.cols()),
+               "tensor-parallel sharding requires an INT8-path weight "
+               "scheme (W8A8 or W4A8)");
+  const int group = static_cast<int>(std::min<int64_t>(cfg.group, w.cols()));
+  // INT8-path schemes quantize the full matrix ONCE, then pack each slice's
+  // rectangle from it for the ISA active at construction (the blocked driver
+  // falls back to the scalar microkernel if the active ISA changes to an
+  // incompatible vector width afterwards). pack_gemm_b_slice reads metadata
+  // at absolute indices, so every packed code / row_sum / epilogue constant
+  // is bitwise the full pack's entry for the same (row, col), and the
+  // quantization-time struct is dropped once packed.
+  const auto pack_slices = [&](const auto& qw) {
+    const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
+    packs_.reserve(shard_slices.size());
+    for (const PackSlice& s : shard_slices)
+      packs_.push_back(pack_gemm_b_slice(qw, nr, s));
+  };
   switch (scheme_) {
     case WeightScheme::kFp16:
       fp16_ = U16Tensor({w.rows(), w.cols()});
@@ -157,95 +204,48 @@ QuantizedLinear::QuantizedLinear(const Tensor& w,
         fp16_[i] = detail::float_to_half_bits(w[i]);
       break;
     case WeightScheme::kW8PerChannel:
-      packed_ = pack_gemm_b(quantize_w8_per_channel(w), nr);
+      pack_slices(quantize_w8_per_channel(w));
       break;
     case WeightScheme::kW4PerChannel:
-      packed_ = pack_gemm_b(quantize_w4_per_channel(w), nr);
+      pack_slices(quantize_w4_per_channel(w));
       break;
     case WeightScheme::kW4PerGroupProgressive: {
       ProgressiveOptions popt;
-      popt.group = static_cast<int>(std::min<int64_t>(cfg.group, w.cols()));
+      popt.group = group;
       popt.level1_range = cfg.level1_range;
-      packed_ = pack_gemm_b(quantize_progressive(w, popt), nr);
+      pack_slices(quantize_progressive(w, popt));
       break;
     }
     case WeightScheme::kW4A16Group:
-      w4a16_ = quantize_w4a16(
-          w, static_cast<int>(std::min<int64_t>(cfg.group, w.cols())));
+      w4a16_ = quantize_w4a16(w, group);
       break;
     case WeightScheme::kW4A4Group:
-      w4a4_ = quantize_w4a4_per_group(
-          w, static_cast<int>(std::min<int64_t>(cfg.group, w.cols())));
+      w4a4_ = quantize_w4a4_per_group(w, group);
       break;
   }
 }
 
-QuantizedLinear::QuantizedLinear(const Tensor& w, const QuantSchemeConfig& cfg,
-                                 const std::vector<PackSlice>& shard_slices)
-    : scheme_(cfg.weights), acts_(cfg.acts), n_(w.rows()) {
-  QS_CHECK_MSG(!shard_slices.empty(),
-               "tensor-parallel QuantizedLinear needs at least one slice");
-  const int nr = cpu::microkernel_for(cpu::active_isa()).nr;
-  shard_packs_.reserve(shard_slices.size());
-  // Quantize the full matrix ONCE, then pack each shard's rectangle from it.
-  // pack_gemm_b_slice reads metadata at absolute indices, so every packed
-  // code / row_sum / epilogue constant is bitwise the full pack's entry for
-  // the same (row, col) — and the quantization-time struct is dropped after
-  // the loop, so TP never holds the weight twice.
-  switch (scheme_) {
-    case WeightScheme::kW8PerChannel: {
-      const W8PerChannel qw = quantize_w8_per_channel(w);
-      for (const PackSlice& s : shard_slices)
-        shard_packs_.push_back(pack_gemm_b_slice(qw, nr, s));
-      break;
-    }
-    case WeightScheme::kW4PerChannel: {
-      const W4PerChannel qw = quantize_w4_per_channel(w);
-      for (const PackSlice& s : shard_slices)
-        shard_packs_.push_back(pack_gemm_b_slice(qw, nr, s));
-      break;
-    }
-    case WeightScheme::kW4PerGroupProgressive: {
-      ProgressiveOptions popt;
-      popt.group = static_cast<int>(std::min<int64_t>(cfg.group, w.cols()));
-      popt.level1_range = cfg.level1_range;
-      const W4PerGroup qw = quantize_progressive(w, popt);
-      for (const PackSlice& s : shard_slices)
-        shard_packs_.push_back(pack_gemm_b_slice(qw, nr, s));
-      break;
-    }
-    default:
-      QS_CHECK_MSG(false,
-                   "tensor-parallel sharding requires an INT8-path weight "
-                   "scheme (W8A8 or W4A8)");
+LinearInput QuantizedLinear::prepare(Tensor x) const {
+  LinearInput in;
+  if (int8_path_scheme(scheme_)) {
+    in.q = quantize_acts_per_token(x);
+  } else if (scheme_ == WeightScheme::kW4A4Group) {
+    in.q = quantize_acts_per_token_int4(x);
+  } else {
+    in.fp = std::move(x);
   }
-}
-
-Tensor QuantizedLinear::apply_shard(const QuantizedActs& x, int s) const {
-  QS_DCHECK(s >= 0 && s < static_cast<int>(shard_packs_.size()));
-  return gemm_blocked(x, shard_packs_[static_cast<size_t>(s)]);
-}
-
-I32Tensor QuantizedLinear::acc_shard(const QuantizedActs& x_slice,
-                                     int s) const {
-  QS_DCHECK(s >= 0 && s < static_cast<int>(shard_packs_.size()));
-  return gemm_blocked_acc(x_slice, shard_packs_[static_cast<size_t>(s)]);
-}
-
-const std::vector<float>& QuantizedLinear::epilogue_scale() const {
-  QS_CHECK(!shard_packs_.empty());
-  return shard_packs_[0].scale;
-}
-
-const std::vector<float>& QuantizedLinear::epilogue_zp_term() const {
-  QS_CHECK(!shard_packs_.empty());
-  return shard_packs_[0].zp_term;
+  return in;
 }
 
 Tensor QuantizedLinear::apply(const Tensor& x) const {
+  QS_CHECK_LE(packs_.size(), size_t(1));
+  return apply_shard(prepare(x), 0);
+}
+
+Tensor QuantizedLinear::apply_shard(const LinearInput& x, int s) const {
   switch (scheme_) {
     case WeightScheme::kFp16:
-      return gemm_fp16w(x, fp16_);
+      return gemm_fp16w(x.fp, fp16_);
     // The INT8 paths hit the pre-packed blocked GEMM: weight tiles were
     // interleaved (and, for per-group, dequantized to level-1 codes) once at
     // construction, and a stacked prefill reuses each tile across all its
@@ -253,14 +253,31 @@ Tensor QuantizedLinear::apply(const Tensor& x) const {
     case WeightScheme::kW8PerChannel:
     case WeightScheme::kW4PerChannel:
     case WeightScheme::kW4PerGroupProgressive:
-      return gemm_blocked(quantize_acts_per_token(x), packed_);
+      QS_DCHECK(s >= 0 && s < static_cast<int>(packs_.size()));
+      return gemm_blocked(x.q, packs_[static_cast<size_t>(s)]);
     case WeightScheme::kW4A16Group:
-      return gemm_w4a16(x, w4a16_);
+      return gemm_w4a16(x.fp, w4a16_);
     case WeightScheme::kW4A4Group:
-      return gemm_w4a4_atom(quantize_acts_per_token_int4(x), w4a4_);
+      return gemm_w4a4_atom(x.q, w4a4_);
   }
   QS_CHECK(false);
   return Tensor{};
+}
+
+I32Tensor QuantizedLinear::acc_shard(const QuantizedActs& x_slice,
+                                     int s) const {
+  QS_DCHECK(s >= 0 && s < static_cast<int>(packs_.size()));
+  return gemm_blocked_acc(x_slice, packs_[static_cast<size_t>(s)]);
+}
+
+const std::vector<float>& QuantizedLinear::epilogue_scale() const {
+  QS_CHECK(!packs_.empty());
+  return packs_[0].scale;
+}
+
+const std::vector<float>& QuantizedLinear::epilogue_zp_term() const {
+  QS_CHECK(!packs_.empty());
+  return packs_[0].zp_term;
 }
 
 // --- QuantizedModel --------------------------------------------------------------
@@ -282,74 +299,54 @@ QuantizedModel::QuantizedModel(const ModelWeights& weights,
   QS_CHECK_MSG(cfg.kv_max_pages > 0,
                "QuantSchemeConfig.kv_max_pages must be >= 1");
   tp_ = resolve_tp_shards(cfg_, cfg, tp);
-  if (tp_ > 1) {
-    // Shard plan: contiguous near-even KV head ranges (feasibility caps
-    // tp_ at n_kv_heads, so every range is non-empty), query ranges scaled
-    // by the GQA group, and near-even granularity-1 splits of ffn_dim and
-    // the o_proj input — the k-splits need no head/group alignment because
-    // pack_gemm_b_slice resolves metadata at absolute indices.
-    const int group = cfg_.n_heads / cfg_.n_kv_heads;
-    const int64_t q_dim = int64_t(cfg_.n_heads) * cfg_.head_dim;
-    QS_CHECK_GE(cfg_.ffn_dim, int64_t(tp_));
-    tp_plan_.resize(static_cast<size_t>(tp_));
-    for (int s = 0; s < tp_; ++s) {
-      TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-      sh.kh0 = (s * cfg_.n_kv_heads) / tp_;
-      sh.kh1 = ((s + 1) * cfg_.n_kv_heads) / tp_;
-      sh.qh0 = sh.kh0 * group;
-      sh.qh1 = sh.kh1 * group;
-      sh.f0 = (int64_t(s) * cfg_.ffn_dim) / tp_;
-      sh.f1 = (int64_t(s + 1) * cfg_.ffn_dim) / tp_;
-      sh.ko0 = (int64_t(s) * q_dim) / tp_;
-      sh.ko1 = (int64_t(s + 1) * q_dim) / tp_;
-      QS_CHECK(sh.kh1 > sh.kh0 && sh.f1 > sh.f0 && sh.ko1 > sh.ko0);
-    }
+  // Shard plan: contiguous near-even KV head ranges (feasibility caps tp_ at
+  // n_kv_heads, so every range is non-empty), query ranges scaled by the GQA
+  // group, and near-even granularity-1 splits of ffn_dim and the o_proj
+  // input — the k-splits need no head/group alignment because
+  // pack_gemm_b_slice resolves metadata at absolute indices. With tp_ = 1
+  // the single shard covers every dimension whole.
+  const int group = cfg_.n_heads / cfg_.n_kv_heads;
+  const int64_t dim = cfg_.head_dim;
+  const int64_t hidden = cfg_.hidden;
+  const int64_t q_dim = int64_t(cfg_.n_heads) * dim;
+  QS_CHECK_GE(cfg_.ffn_dim, int64_t(tp_));
+  tp_plan_.resize(static_cast<size_t>(tp_));
+  // Per-projection slice lists, identical for every layer: column-parallel
+  // layers (QKV, gate/up) slice output rows; row-parallel layers (o_proj,
+  // down) slice input columns. Each shard's rectangle is packed once at
+  // construction — no duplicated packing, no full pack.
+  std::vector<PackSlice> sq, skv, so, sffn, sdown;
+  for (int s = 0; s < tp_; ++s) {
+    TpShard& sh = tp_plan_[static_cast<size_t>(s)];
+    sh.kh0 = (s * cfg_.n_kv_heads) / tp_;
+    sh.kh1 = ((s + 1) * cfg_.n_kv_heads) / tp_;
+    sh.qh0 = sh.kh0 * group;
+    sh.qh1 = sh.kh1 * group;
+    sh.f0 = (int64_t(s) * cfg_.ffn_dim) / tp_;
+    sh.f1 = (int64_t(s + 1) * cfg_.ffn_dim) / tp_;
+    sh.ko0 = (int64_t(s) * q_dim) / tp_;
+    sh.ko1 = (int64_t(s + 1) * q_dim) / tp_;
+    QS_CHECK(sh.kh1 > sh.kh0 && sh.f1 > sh.f0 && sh.ko1 > sh.ko0);
+    sq.push_back({int64_t(sh.qh0) * dim, int64_t(sh.qh1) * dim, 0, hidden});
+    skv.push_back({int64_t(sh.kh0) * dim, int64_t(sh.kh1) * dim, 0, hidden});
+    so.push_back({0, hidden, sh.ko0, sh.ko1});
+    sffn.push_back({sh.f0, sh.f1, 0, hidden});
+    sdown.push_back({0, hidden, sh.f0, sh.f1});
   }
   embedding_ = weights.embedding;
   layers_.reserve(weights.layers.size());
-  if (tp_ > 1) {
-    // Per-projection slice lists, identical for every layer: column-parallel
-    // layers (QKV, gate/up) slice output rows; row-parallel layers (o_proj,
-    // down) slice input columns. Each shard's rectangle is packed once at
-    // construction — no duplicated packing, no full pack.
-    const int64_t dim = cfg_.head_dim;
-    const int64_t hidden = cfg_.hidden;
-    std::vector<PackSlice> sq, skv, so, sffn, sdown;
-    for (const TpShard& sh : tp_plan_) {
-      sq.push_back({int64_t(sh.qh0) * dim, int64_t(sh.qh1) * dim, 0, hidden});
-      skv.push_back(
-          {int64_t(sh.kh0) * dim, int64_t(sh.kh1) * dim, 0, hidden});
-      so.push_back({0, hidden, sh.ko0, sh.ko1});
-      sffn.push_back({sh.f0, sh.f1, 0, hidden});
-      sdown.push_back({0, hidden, sh.f0, sh.f1});
-    }
-    for (const auto& lw : weights.layers) {
-      QLayer ql;
-      ql.wq = QuantizedLinear(lw.wq, cfg, sq);
-      ql.wk = QuantizedLinear(lw.wk, cfg, skv);
-      ql.wv = QuantizedLinear(lw.wv, cfg, skv);
-      ql.wo = QuantizedLinear(lw.wo, cfg, so);
-      ql.w_gate = QuantizedLinear(lw.w_gate, cfg, sffn);
-      ql.w_up = QuantizedLinear(lw.w_up, cfg, sffn);
-      ql.w_down = QuantizedLinear(lw.w_down, cfg, sdown);
-      ql.ln_attn = lw.ln_attn;
-      ql.ln_ffn = lw.ln_ffn;
-      layers_.push_back(std::move(ql));
-    }
-  } else {
-    for (const auto& lw : weights.layers) {
-      QLayer ql;
-      ql.wq = QuantizedLinear(lw.wq, cfg);
-      ql.wk = QuantizedLinear(lw.wk, cfg);
-      ql.wv = QuantizedLinear(lw.wv, cfg);
-      ql.wo = QuantizedLinear(lw.wo, cfg);
-      ql.w_gate = QuantizedLinear(lw.w_gate, cfg);
-      ql.w_up = QuantizedLinear(lw.w_up, cfg);
-      ql.w_down = QuantizedLinear(lw.w_down, cfg);
-      ql.ln_attn = lw.ln_attn;
-      ql.ln_ffn = lw.ln_ffn;
-      layers_.push_back(std::move(ql));
-    }
+  for (const auto& lw : weights.layers) {
+    QLayer ql;
+    ql.wq = QuantizedLinear(lw.wq, cfg, sq);
+    ql.wk = QuantizedLinear(lw.wk, cfg, skv);
+    ql.wv = QuantizedLinear(lw.wv, cfg, skv);
+    ql.wo = QuantizedLinear(lw.wo, cfg, so);
+    ql.w_gate = QuantizedLinear(lw.w_gate, cfg, sffn);
+    ql.w_up = QuantizedLinear(lw.w_up, cfg, sffn);
+    ql.w_down = QuantizedLinear(lw.w_down, cfg, sdown);
+    ql.ln_attn = lw.ln_attn;
+    ql.ln_ffn = lw.ln_ffn;
+    layers_.push_back(std::move(ql));
   }
   ln_final_ = weights.ln_final;
   // The LM head stays FP16 in every scheme (standard practice): binary16
@@ -360,7 +357,6 @@ QuantizedModel::QuantizedModel(const ModelWeights& weights,
   // exactly what single-row decode does.
   QuantSchemeConfig head_cfg = cfg;
   head_cfg.weights = WeightScheme::kFp16;
-  head_cfg.acts = ActScheme::kFp16;
   lm_head_ = QuantizedLinear(weights.lm_head, head_cfg);
 
   KvCacheConfig kcfg;
@@ -422,148 +418,10 @@ void QuantizedModel::end_sequence(int seq) {
   s.live = false;
 }
 
-Tensor QuantizedModel::run_blocks(int seq, const Tensor& embedded, int pos0) {
-  const int64_t n = embedded.rows();
-  std::vector<int> positions(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i)
-    positions[static_cast<size_t>(i)] = pos0 + static_cast<int>(i);
-  return run_blocks_batched({{seq, 0, n}}, embedded, positions);
-}
-
-Tensor QuantizedModel::run_blocks_batched(const std::vector<SeqSpan>& spans,
-                                          const Tensor& embedded,
-                                          const std::vector<int>& positions) {
-  if (tp_ > 1) return run_blocks_batched_tp(spans, embedded, positions);
-  const int64_t n = embedded.rows();
-  QS_CHECK_EQ(n, static_cast<int64_t>(positions.size()));
-  const AttentionConfig& acfg = attn_cfg_;
-
-  Tensor x = embedded;
-  for (size_t li = 0; li < layers_.size(); ++li) {
-    auto& layer = layers_[li];
-    // Attention block. Every projection runs ONE GEMM over the whole row
-    // stack — all sequences' decode tokens and prefill chunks together.
-    // Activation quantization is not fused into RMSNorm here: wq, wk and wv
-    // each quantize h again inside QuantizedLinear::apply (and w_gate/w_up
-    // each quantize h2); the tensor-parallel path quantizes each once. The
-    // per-row quantizer is deterministic, so the repeats agree and stacking
-    // rows from different sequences changes no per-row numerics.
-    Tensor h = rms_norm(x, layer.ln_attn);
-    Tensor q = layer.wq.apply(h);
-    Tensor k = layer.wk.apply(h);
-    Tensor v = layer.wv.apply(h);
-    rope_inplace(q, positions, cfg_.head_dim);
-    rope_inplace(k, positions, cfg_.head_dim);
-
-    // Attention section, timed separately (attention_seconds_): KV append +
-    // attend. Every span first appends its K/V rows to its own cache
-    // sequence in one batched scatter; then all single-row spans (decode and
-    // token-wise verify rows) run through ONE batched executor call that
-    // walks all sequences × heads in a single parallel_for, dequantizing
-    // page data inline in the ISA-dispatched microkernels (§5.3). Multi-row
-    // spans (prefill chunks) gather the full dequantized K/V once — both
-    // paths share the same kernel arithmetic, so the step is bitwise
-    // identical to a per-sequence fan-out at any thread count and ISA.
-    const auto attn_t0 = std::chrono::steady_clock::now();
-    Tensor attn;
-    if (spans.size() == 1 && spans[0].n > 1) {
-      // Single multi-row span (a plain prefill chunk): q already is exactly
-      // this span's rows, so attend on it directly — no scratch copies.
-      const SeqSpan& sp = spans[0];
-      const auto& st = seqs_[static_cast<size_t>(sp.seq)];
-      const int lseq = st.layer_seqs[li];
-      kv_->append_batch(lseq, k.row(0), v.row(0), sp.n);
-      attn = span_attention(lseq, st, q,
-                            int64_t(positions[static_cast<size_t>(sp.row0)]) +
-                                sp.n,
-                            acfg, 0, cfg_.n_kv_heads);
-    } else {
-      attn = Tensor({n, q.cols()});
-      // Pass 1: appends. Distinct sequences may scatter concurrently (the
-      // pool bookkeeping is internally locked), and every span's KV must be
-      // in its pages before that span attends.
-      parallel_for(
-          0, static_cast<int64_t>(spans.size()), 1,
-          [&](int64_t lo, int64_t hi) {
-            for (int64_t si = lo; si < hi; ++si) {
-              const SeqSpan& sp = spans[static_cast<size_t>(si)];
-              const int lseq =
-                  seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li];
-              kv_->append_batch(lseq, k.row(sp.row0), v.row(sp.row0), sp.n);
-            }
-          });
-      // Pass 2: one batched decode-attention dispatch for every single-row
-      // span of the step...
-      std::vector<DecodeAttentionItem> items;
-      std::vector<size_t> multi;
-      items.reserve(spans.size());
-      for (size_t si = 0; si < spans.size(); ++si) {
-        const SeqSpan& sp = spans[si];
-        if (sp.n == 1) {
-          items.push_back(
-              {seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li],
-               q.row(sp.row0), attn.row(sp.row0)});
-        } else {
-          multi.push_back(si);
-        }
-      }
-      if (!items.empty()) {
-        batched_fused_decode_attention(*kv_, items, acfg);
-        ++batched_attention_calls_;
-        decode_attention_items_ += static_cast<int64_t>(items.size());
-      }
-      // ...and the gather path for the (rare) multi-row spans sharing the
-      // step with decodes.
-      if (!multi.empty()) {
-        parallel_for(
-            0, static_cast<int64_t>(multi.size()), 1,
-            [&](int64_t lo, int64_t hi) {
-              for (int64_t mi = lo; mi < hi; ++mi) {
-                const SeqSpan& sp = spans[multi[static_cast<size_t>(mi)]];
-                const auto& st = seqs_[static_cast<size_t>(sp.seq)];
-                const int lseq = st.layer_seqs[li];
-                Tensor qs({sp.n, q.cols()});
-                std::copy(q.row(sp.row0), q.row(sp.row0) + sp.n * q.cols(),
-                          qs.data());
-                const Tensor a = span_attention(
-                    lseq, st, qs,
-                    int64_t(positions[static_cast<size_t>(sp.row0)]) + sp.n,
-                    acfg, 0, cfg_.n_kv_heads);
-                std::copy(a.data(), a.data() + a.numel(), attn.row(sp.row0));
-              }
-            });
-      }
-    }
-    attention_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      attn_t0)
-            .count();
-    // Separate quant node before the output projection (Fig. 11).
-    Tensor attn_proj = layer.wo.apply(attn);
-    add_inplace(x, attn_proj);
-
-    // FFN block.
-    Tensor h2 = rms_norm(x, layer.ln_ffn);
-    Tensor gate = layer.w_gate.apply(h2);
-    Tensor up = layer.w_up.apply(h2);
-    Tensor act({n, cfg_.ffn_dim});
-    // Row-independent like the norm/quant loops, so the stacked rows of a
-    // batched step parallelize bitwise-identically.
-    parallel_for(0, n, 4, [&](int64_t lo, int64_t hi) {
-      for (int64_t t = lo; t < hi; ++t)
-        for (int64_t c = 0; c < cfg_.ffn_dim; ++c) {
-          const float g = gate.at2(t, c);
-          act.at2(t, c) = (g / (1.0f + std::exp(-g))) * up.at2(t, c);
-        }
-    });
-    Tensor down = layer.w_down.apply(act);
-    add_inplace(x, down);
-  }
-  return x;
-}
-
 void QuantizedModel::note_shard_times(const std::vector<double>& seconds) {
-  if (seconds.empty()) return;
+  // A single shard has no imbalance to report (and no parallel deployment
+  // to model), so its regions stay out of the accumulators.
+  if (seconds.size() < 2) return;
   double mx = 0.0, sum = 0.0;
   for (double v : seconds) {
     mx = std::max(mx, v);
@@ -573,36 +431,58 @@ void QuantizedModel::note_shard_times(const std::vector<double>& seconds) {
   tp_shard_mean_seconds_ += sum / double(seconds.size());
 }
 
-Tensor QuantizedModel::run_blocks_batched_tp(const std::vector<SeqSpan>& spans,
-                                             const Tensor& embedded,
-                                             const std::vector<int>& positions) {
-  const int64_t n = embedded.rows();
+Tensor QuantizedModel::row_parallel(const QuantizedLinear& w,
+                                    const LinearInput& x,
+                                    int64_t TpShard::*k0, int64_t TpShard::*k1,
+                                    std::vector<double>& times) {
+  // Nothing to reduce: one plain GEMM on the centrally prepared input.
+  if (tp_ == 1) return w.apply_shard(x, 0);
+  std::vector<I32Tensor> accs(static_cast<size_t>(tp_));
+  run_sharded(
+      tp_,
+      [&](int s) {
+        const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
+        accs[static_cast<size_t>(s)] =
+            w.acc_shard(slice_acts_cols(x.q, sh.*k0, sh.*k1), s);
+      },
+      times.data());
+  note_shard_times(times);
+  // Reduction boundary (comm): fixed pairwise-tree all-reduce of the exact
+  // INT32 partials + the identical post-reduction epilogue.
+  const auto t0 = std::chrono::steady_clock::now();
+  Tensor out = gemm_blocked_epilogue(reduce_partials(accs), x.q,
+                                     w.epilogue_scale(), w.epilogue_zp_term());
+  tp_comm_seconds_ += seconds_since(t0);
+  return out;
+}
+
+Tensor QuantizedModel::run_blocks_batched(const std::vector<SeqSpan>& spans,
+                                          Tensor x,
+                                          const std::vector<int>& positions) {
+  const int64_t n = x.rows();
   QS_CHECK_EQ(n, static_cast<int64_t>(positions.size()));
-  const AttentionConfig& acfg = attn_cfg_;
   const int S = tp_;
   const int64_t dim = cfg_.head_dim;
-  const auto dur = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
 
   std::vector<double> times(static_cast<size_t>(S), 0.0);
   // Per-shard scratch reused across regions of one layer.
   std::vector<Tensor> qs(static_cast<size_t>(S)), ks(static_cast<size_t>(S)),
       vs(static_cast<size_t>(S)), attns(static_cast<size_t>(S)),
       acts(static_cast<size_t>(S));
-  std::vector<I32Tensor> accs(static_cast<size_t>(S));
+  std::vector<int64_t> pos0(spans.size());
+  int64_t n_single = 0;
+  for (const SeqSpan& sp : spans) n_single += (sp.n == 1) ? 1 : 0;
 
-  Tensor x = embedded;
   for (size_t li = 0; li < layers_.size(); ++li) {
     auto& layer = layers_[li];
-    // Attention block. Norm + activation quantization run centrally over
-    // FULL rows (the per-token scale must see every column); each shard then
-    // runs its QKV row-slice GEMMs and RoPE on its own head slices — RoPE is
-    // per-head, so a head slice transforms bitwise like the full matrix.
-    const QuantizedActs hq =
-        quantize_acts_per_token(rms_norm(x, layer.ln_attn));
+    // Attention block. The norm output is prepared ONCE, over full rows (the
+    // per-token scale must see every column), and feeds all three QKV
+    // projections. Every projection runs ONE GEMM per shard over the whole
+    // row stack — all sequences' decode tokens and prefill chunks together;
+    // the per-row quantizer makes stacking change no per-row numerics. Each
+    // shard then applies RoPE to its own head slices — RoPE is per-head, so
+    // a head slice transforms bitwise like the full matrix.
+    const LinearInput hq = layer.wq.prepare(rms_norm(x, layer.ln_attn));
     run_sharded(
         S,
         [&](int s) {
@@ -615,174 +495,152 @@ Tensor QuantizedModel::run_blocks_batched_tp(const std::vector<SeqSpan>& spans,
         times.data());
     note_shard_times(times);
 
-    // Attention section (timed like the single-shard path: KV append +
-    // attend). Slots for every span are reserved centrally, in span order —
-    // ONE kKvAppend fault draw per span, exactly append_batch's schedule, so
-    // an armed fault site fires at the same step regardless of shard count.
+    // Attention section, timed separately (attention_seconds_): KV append +
+    // attend. Slots for every span are reserved centrally, in span order —
+    // ONE kKvAppend fault draw per span, so an armed fault site fires at the
+    // same step regardless of shard count. Then all single-row spans (decode
+    // and token-wise verify rows) run through ONE batched executor call per
+    // shard that walks all sequences × heads in a single parallel_for,
+    // dequantizing page data inline in the ISA-dispatched microkernels
+    // (§5.3). Multi-row spans (prefill chunks) gather the dequantized K/V
+    // once — both paths share the same kernel arithmetic, so the step is
+    // bitwise identical to a per-sequence fan-out at any thread count, ISA
+    // and shard count.
     const auto attn_t0 = std::chrono::steady_clock::now();
-    std::vector<int64_t> pos0(spans.size());
     for (size_t si = 0; si < spans.size(); ++si) {
       const SeqSpan& sp = spans[si];
       const int lseq = seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li];
       pos0[si] = kv_->append_reserve(lseq, sp.n);
     }
-    int64_t n_single = 0;
-    for (const SeqSpan& sp : spans) n_single += (sp.n == 1) ? 1 : 0;
     run_sharded(
         S,
         [&](int s) {
           const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
           const int qn = sh.qh1 - sh.qh0;
-          Tensor& ksl = ks[static_cast<size_t>(s)];
-          Tensor& vsl = vs[static_cast<size_t>(s)];
-          Tensor& qsl = qs[static_cast<size_t>(s)];
+          const Tensor& qsl = qs[static_cast<size_t>(s)];
+          const Tensor& ksl = ks[static_cast<size_t>(s)];
+          const Tensor& vsl = vs[static_cast<size_t>(s)];
           // Each shard writes its own KV head range of every span's reserved
           // rows — disjoint byte ranges (INT4 head boundaries are
           // byte-aligned via the even head_dim), written lock-free after a
-          // short locked destination resolution.
-          for (size_t si = 0; si < spans.size(); ++si) {
-            const SeqSpan& sp = spans[si];
-            const int lseq =
-                seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li];
-            kv_->append_write_heads(lseq, pos0[si], ksl.row(sp.row0),
-                                    vsl.row(sp.row0), sp.n, sh.kh0, sh.kh1,
-                                    ksl.cols());
-          }
+          // short locked destination resolution. Distinct spans are distinct
+          // sequences, so they scatter concurrently.
+          parallel_for(
+              0, static_cast<int64_t>(spans.size()), 1,
+              [&](int64_t lo, int64_t hi) {
+                for (int64_t si = lo; si < hi; ++si) {
+                  const SeqSpan& sp = spans[static_cast<size_t>(si)];
+                  kv_->append_write_heads(
+                      seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li],
+                      pos0[static_cast<size_t>(si)], ksl.row(sp.row0),
+                      vsl.row(sp.row0), sp.n, sh.kh0, sh.kh1, ksl.cols());
+                }
+              });
           // No cross-shard barrier before attending: a shard reads only the
-          // KV heads it just wrote.
+          // KV heads it just wrote. Multi-row spans attend with the shard's
+          // head-sliced config — the kernels are per-head, so the slice
+          // output is bitwise the matching columns of the unsharded call.
+          AttentionConfig scfg = attn_cfg_;
+          scfg.n_heads = qn;
+          scfg.n_kv_heads = sh.kh1 - sh.kh0;
+          const auto attend_span = [&](const SeqSpan& sp, const Tensor& q) {
+            const auto& st = seqs_[static_cast<size_t>(sp.seq)];
+            return span_attention(
+                st.layer_seqs[li], st, q,
+                int64_t(positions[static_cast<size_t>(sp.row0)]) + sp.n, scfg,
+                sh.kh0, sh.kh1);
+          };
           Tensor& attn_s = attns[static_cast<size_t>(s)];
+          if (spans.size() == 1 && spans[0].n > 1) {
+            // Single multi-row span (a plain prefill chunk): q already is
+            // exactly this span's rows, so attend on it directly — no
+            // scratch copies.
+            attn_s = attend_span(spans[0], qsl);
+            return;
+          }
           attn_s = Tensor({n, int64_t(qn) * dim});
           std::vector<DecodeAttentionItem> items;
           std::vector<size_t> multi;
           items.reserve(spans.size());
           for (size_t si = 0; si < spans.size(); ++si) {
             const SeqSpan& sp = spans[si];
-            const int lseq =
-                seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li];
             if (sp.n == 1) {
               items.push_back(
-                  {lseq, qsl.row(sp.row0), attn_s.row(sp.row0)});
+                  {seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li],
+                   qsl.row(sp.row0), attn_s.row(sp.row0)});
             } else {
               multi.push_back(si);
             }
           }
           if (!items.empty())
-            batched_fused_decode_attention(*kv_, items, acfg, sh.qh0, qn);
-          if (!multi.empty()) {
-            // Multi-row spans (prefill chunks / verify spans): gather the
-            // shard's KV head range and attend with the slice config — the
-            // kernels are per-head, so the slice output is bitwise the
-            // matching columns of the unsharded call.
-            AttentionConfig scfg = acfg;
-            scfg.n_heads = qn;
-            scfg.n_kv_heads = sh.kh1 - sh.kh0;
-            for (size_t mi : multi) {
-              const SeqSpan& sp = spans[mi];
-              const auto& st = seqs_[static_cast<size_t>(sp.seq)];
-              const int lseq = st.layer_seqs[li];
-              Tensor qspan({sp.n, attn_s.cols()});
-              std::copy(qsl.row(sp.row0),
-                        qsl.row(sp.row0) + sp.n * qspan.cols(),
-                        qspan.data());
-              const Tensor a = span_attention(
-                  lseq, st, qspan,
-                  int64_t(positions[static_cast<size_t>(sp.row0)]) + sp.n,
-                  scfg, sh.kh0, sh.kh1);
-              std::copy(a.data(), a.data() + a.numel(),
-                        attn_s.row(sp.row0));
-            }
-          }
+            batched_fused_decode_attention(*kv_, items, attn_cfg_, sh.qh0,
+                                           qn);
+          // The gather path for the (rare) multi-row spans sharing the step
+          // with decodes.
+          parallel_for(
+              0, static_cast<int64_t>(multi.size()), 1,
+              [&](int64_t lo, int64_t hi) {
+                for (int64_t mi = lo; mi < hi; ++mi) {
+                  const SeqSpan& sp = spans[multi[static_cast<size_t>(mi)]];
+                  Tensor qspan({sp.n, attn_s.cols()});
+                  std::copy(qsl.row(sp.row0),
+                            qsl.row(sp.row0) + sp.n * qspan.cols(),
+                            qspan.data());
+                  const Tensor a = attend_span(sp, qspan);
+                  std::copy(a.data(), a.data() + a.numel(),
+                            attn_s.row(sp.row0));
+                }
+              });
         },
         times.data());
     note_shard_times(times);
-    attention_seconds_ += dur(attn_t0);
+    attention_seconds_ += seconds_since(attn_t0);
     if (n_single > 0) {
       batched_attention_calls_ += S;  // one head-ranged dispatch per shard
       decode_attention_items_ += n_single;
     }
 
     // Reduction boundary 1 (comm): concat the column-parallel attention
-    // slices back into full rows for the central o_proj quantization.
-    const auto cat_t0 = std::chrono::steady_clock::now();
-    Tensor attn({n, int64_t(cfg_.n_heads) * dim});
-    for (int s = 0; s < S; ++s) {
-      const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-      const int64_t w = int64_t(sh.qh1 - sh.qh0) * dim;
-      const Tensor& attn_s = attns[static_cast<size_t>(s)];
-      for (int64_t t = 0; t < n; ++t)
-        std::copy(attn_s.row(t), attn_s.row(t) + w,
-                  attn.row(t) + int64_t(sh.qh0) * dim);
-    }
-    tp_comm_seconds_ += dur(cat_t0);
-
-    // Row-parallel o_proj: central full-row quantization, per-shard k-slice
-    // partial accumulators, then the all-reduce + shared epilogue.
-    const QuantizedActs aq = quantize_acts_per_token(attn);
-    run_sharded(
-        S,
+    // slices back into full rows for the central o_proj quant node, then
+    // the row-parallel o_proj.
+    const LinearInput aq = layer.wo.prepare(concat_cols(
+        attns, int64_t(cfg_.n_heads) * dim,
         [&](int s) {
-          const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-          accs[static_cast<size_t>(s)] =
-              layer.wo.acc_shard(slice_acts_cols(aq, sh.ko0, sh.ko1), s);
+          return int64_t(tp_plan_[static_cast<size_t>(s)].qh0) * dim;
         },
-        times.data());
-    note_shard_times(times);
-    // Reduction boundary 2 (comm): fixed pairwise-tree all-reduce of the
-    // exact INT32 partials + the identical post-reduction epilogue.
-    const auto red_t0 = std::chrono::steady_clock::now();
-    Tensor attn_proj = gemm_blocked_epilogue(
-        reduce_partials(accs), aq, layer.wo.epilogue_scale(),
-        layer.wo.epilogue_zp_term());
-    tp_comm_seconds_ += dur(red_t0);
-    add_inplace(x, attn_proj);
+        tp_comm_seconds_));
+    add_inplace(x, row_parallel(layer.wo, aq, &TpShard::ko0, &TpShard::ko1,
+                                times));
 
-    // FFN block: column-parallel gate/up + SwiGLU on slices, concat, then
-    // row-parallel down with the same reduce + epilogue shape.
-    const QuantizedActs h2q =
-        quantize_acts_per_token(rms_norm(x, layer.ln_ffn));
+    // FFN block: one prepared norm output feeds the column-parallel gate/up
+    // GEMMs and SwiGLU on each shard's slice; concat, then the row-parallel
+    // down projection behind its own quant node.
+    const LinearInput h2q = layer.w_gate.prepare(rms_norm(x, layer.ln_ffn));
     run_sharded(
         S,
         [&](int s) {
-          const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
           const Tensor gate = layer.w_gate.apply_shard(h2q, s);
           const Tensor up = layer.w_up.apply_shard(h2q, s);
-          const int64_t w = sh.f1 - sh.f0;
           Tensor& act_s = acts[static_cast<size_t>(s)];
-          act_s = Tensor({n, w});
-          for (int64_t t = 0; t < n; ++t)
-            for (int64_t c = 0; c < w; ++c) {
-              const float g = gate.at2(t, c);
-              act_s.at2(t, c) = (g / (1.0f + std::exp(-g))) * up.at2(t, c);
-            }
+          act_s = Tensor({n, gate.cols()});
+          // Row-independent like the norm/quant loops, so the stacked rows
+          // of a batched step parallelize bitwise-identically.
+          parallel_for(0, n, 4, [&](int64_t lo, int64_t hi) {
+            for (int64_t t = lo; t < hi; ++t)
+              for (int64_t c = 0; c < gate.cols(); ++c) {
+                const float g = gate.at2(t, c);
+                act_s.at2(t, c) = (g / (1.0f + std::exp(-g))) * up.at2(t, c);
+              }
+          });
         },
         times.data());
     note_shard_times(times);
-    const auto cat2_t0 = std::chrono::steady_clock::now();
-    Tensor act({n, cfg_.ffn_dim});
-    for (int s = 0; s < S; ++s) {
-      const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-      const int64_t w = sh.f1 - sh.f0;
-      const Tensor& act_s = acts[static_cast<size_t>(s)];
-      for (int64_t t = 0; t < n; ++t)
-        std::copy(act_s.row(t), act_s.row(t) + w, act.row(t) + sh.f0);
-    }
-    tp_comm_seconds_ += dur(cat2_t0);
-    const QuantizedActs actq = quantize_acts_per_token(act);
-    run_sharded(
-        S,
-        [&](int s) {
-          const TpShard& sh = tp_plan_[static_cast<size_t>(s)];
-          accs[static_cast<size_t>(s)] =
-              layer.w_down.acc_shard(slice_acts_cols(actq, sh.f0, sh.f1), s);
-        },
-        times.data());
-    note_shard_times(times);
-    const auto red2_t0 = std::chrono::steady_clock::now();
-    Tensor down = gemm_blocked_epilogue(
-        reduce_partials(accs), actq, layer.w_down.epilogue_scale(),
-        layer.w_down.epilogue_zp_term());
-    tp_comm_seconds_ += dur(red2_t0);
-    add_inplace(x, down);
+    const LinearInput actq = layer.w_down.prepare(concat_cols(
+        acts, cfg_.ffn_dim,
+        [&](int s) { return tp_plan_[static_cast<size_t>(s)].f0; },
+        tp_comm_seconds_));
+    add_inplace(x, row_parallel(layer.w_down, actq, &TpShard::f0,
+                                &TpShard::f1, times));
   }
   return x;
 }
@@ -817,27 +675,11 @@ Tensor QuantizedModel::prefill(int seq, const std::vector<int>& tokens) {
 
 Tensor QuantizedModel::prefill_chunk(int seq, const std::vector<int>& tokens,
                                      int pos0) {
-  QS_CHECK(!tokens.empty());
-  auto& state = seqs_[static_cast<size_t>(seq)];
-  QS_CHECK(state.live);
-  QS_CHECK_EQ(int64_t(pos0), state.next_pos);
-  // The chunk is stacked into one [n, hidden] activation matrix, so each
-  // projection below is a single blocked GEMM call and every packed weight
-  // tile is unpacked once and reused across all n tokens — this is what
-  // makes the pre-packed layout pay during prefill.
-  const int64_t n = static_cast<int64_t>(tokens.size());
-  Tensor x({n, cfg_.hidden});
-  for (int64_t t = 0; t < n; ++t)
-    for (int64_t c = 0; c < cfg_.hidden; ++c)
-      x.at2(t, c) = embedding_.at2(tokens[static_cast<size_t>(t)], c);
-  Tensor h = run_blocks(seq, x, pos0);
-  state.next_pos += n;
-
-  Tensor last({1, cfg_.hidden});
-  for (int64_t c = 0; c < cfg_.hidden; ++c)
-    last.at2(0, c) = h.at2(n - 1, c);
-  Tensor logits = logits_from_hidden(last);
-  return logits.reshaped({cfg_.vocab});
+  // A one-chunk step: the chunk is stacked into one [n, hidden] activation
+  // matrix, so each projection is a single blocked GEMM call and every
+  // packed weight tile is unpacked once and reused across all n tokens.
+  return forward_step(BatchedStep{{{seq, tokens, pos0, 1}}})
+      .reshaped({cfg_.vocab});
 }
 
 Tensor QuantizedModel::forward_step(const BatchedStep& step) {
@@ -891,7 +733,7 @@ Tensor QuantizedModel::forward_step(const BatchedStep& step) {
         }
       });
 
-  Tensor h = run_blocks_batched(spans, x, positions);
+  const Tensor h = run_blocks_batched(spans, std::move(x), positions);
   for (const StepSeqChunk& c : step.chunks)
     seqs_[static_cast<size_t>(c.seq)].next_pos +=
         static_cast<int64_t>(c.tokens.size());
@@ -989,13 +831,8 @@ Tensor QuantizedModel::decode_step(int seq, int token) {
 
 Tensor QuantizedModel::forward(const std::vector<int>& tokens) {
   const int seq = begin_sequence();
-  const int64_t n = static_cast<int64_t>(tokens.size());
-  Tensor x({n, cfg_.hidden});
-  for (int64_t t = 0; t < n; ++t)
-    for (int64_t c = 0; c < cfg_.hidden; ++c)
-      x.at2(t, c) = embedding_.at2(tokens[static_cast<size_t>(t)], c);
-  Tensor h = run_blocks(seq, x, 0);
-  Tensor logits = logits_from_hidden(h);
+  const int n = static_cast<int>(tokens.size());
+  Tensor logits = forward_step(BatchedStep{{{seq, tokens, 0, n}}});
   end_sequence(seq);
   return logits;
 }

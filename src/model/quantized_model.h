@@ -1,7 +1,10 @@
 // Quantized transformer executor — the CPU analogue of the QServe runtime
-// (Fig. 11): all GEMMs take quantized inputs and produce FP16 outputs,
-// activation quantization is fused into RMSNorm / SwiGLU, a separate quant
-// node precedes o_proj, and the KV cache is paged + quantized per head.
+// (Fig. 11): all GEMMs take quantized inputs and produce FP16 outputs. Each
+// RMSNorm output is quantized once, by a quant node that runs right after the
+// norm and feeds every projection reading it (QKV, gate/up); separate quant
+// nodes precede o_proj and down_proj. The KV cache is paged + quantized per
+// head. One block-stack executor serves every shard count: single-shard
+// execution is the 1-shard plan of tensor parallelism.
 #pragma once
 
 #include <memory>
@@ -40,6 +43,9 @@ enum class ActScheme { kFp16, kInt8PerToken, kInt4PerToken };
 
 struct QuantSchemeConfig {
   WeightScheme weights = WeightScheme::kW4PerGroupProgressive;
+  // Descriptive only: the activation format follows from `weights` (INT8
+  // per-token for W8A8/W4A8, INT4 per-token for W4A4, FP otherwise) and
+  // nothing reads this field.
   ActScheme acts = ActScheme::kInt8PerToken;
   KvPrecision kv = KvPrecision::kInt4;
   int group = 128;
@@ -57,27 +63,39 @@ struct QuantSchemeConfig {
   static QuantSchemeConfig fp16();
 };
 
+// The input operand of a QuantizedLinear in the form its scheme's GEMM
+// consumes: per-token quantized codes (`q`: INT8 for W8A8/W4A8, INT4 for
+// W4A4) or the FP activations themselves (`fp`: FP16 and W4A16 weights).
+// Prepared once per producer and shared by every projection reading it.
+struct LinearInput {
+  Tensor fp;
+  QuantizedActs q;
+};
+
 // One quantized projection; holds exactly the representation `scheme` needs.
 class QuantizedLinear {
  public:
   QuantizedLinear() = default;
+  // Unsharded: one slice covering the whole matrix.
   QuantizedLinear(const Tensor& w, const QuantSchemeConfig& cfg);
-  // Tensor-parallel construction (INT8-path schemes only): quantize the full
-  // matrix once, then pack one rectangular slice per shard via
-  // pack_gemm_b_slice — no full pack is ever built, so TP holds each weight
-  // exactly once. Column-parallel layers pass full-k row slices;
-  // row-parallel layers pass full-n column (k) slices.
+  // Sliced construction: quantize the full matrix once, then pack one
+  // rectangular slice per shard via pack_gemm_b_slice — no full pack is ever
+  // built, so a sharded layer holds each weight exactly once. Column-parallel
+  // layers pass full-k row slices; row-parallel layers pass full-n column (k)
+  // slices. Only INT8-path schemes take more than one slice; every other
+  // scheme requires the single full slice.
   QuantizedLinear(const Tensor& w, const QuantSchemeConfig& cfg,
                   const std::vector<PackSlice>& shard_slices);
 
-  // x is the FP activation; quantization (if any) happens inside, matching
-  // the fused quant nodes of Fig. 11.
+  // Convert FP activations into this scheme's GEMM input (the quant node of
+  // Fig. 11; the FP schemes pass x through).
+  LinearInput prepare(Tensor x) const;
+  // prepare + the GEMM of an unsharded projection.
   Tensor apply(const Tensor& x) const;
-
-  // Column-parallel shard GEMM: the FP16 output slice for shard s's row
-  // range, from the centrally quantized full-k activations. Bitwise the
-  // corresponding output columns of the unsharded apply().
-  Tensor apply_shard(const QuantizedActs& x, int s) const;
+  // Shard s's output columns (its row slice of the weight) from the full-k
+  // prepared input; with one slice this is the whole projection. Bitwise
+  // the corresponding output columns of apply().
+  Tensor apply_shard(const LinearInput& x, int s) const;
   // Row-parallel shard GEMM: shard s's exact INT32 partial accumulators over
   // its k-slice. `x_slice` holds the shard's columns of the centrally
   // quantized codes with the FULL-row per-token scale/token_sum; integer
@@ -94,24 +112,20 @@ class QuantizedLinear {
 
  private:
   WeightScheme scheme_ = WeightScheme::kFp16;
-  ActScheme acts_ = ActScheme::kFp16;
   int64_t n_ = 0;
   // kFp16 keeps only the binary16 bits [n, k] (half the bytes of an FP32
   // copy); apply() runs gemm_fp16w over them.
   U16Tensor fp16_;
   W4A16PerGroup w4a16_;
   W4A4PerGroup w4a4_;
-  // INT8-path schemes (W8A8, per-channel/per-group W4A8) keep only this
-  // packed form: ISA-interleaved tiles, per-group weights pre-dequantized to
-  // level-1 codes, epilogue constants inline. Every apply() — a decode step
-  // or a whole stacked prefill — reuses the tiles via the blocked GEMM
-  // driver instead of re-dequantizing weight rows per call, and the
-  // quantization-time structs are dropped after packing to avoid holding
-  // the weights twice.
-  PackedGemmB packed_;
-  // Tensor-parallel form: per-shard slice packs (and no packed_). Each
-  // shard's tiles were interleaved once at construction from its own slice.
-  std::vector<PackedGemmB> shard_packs_;
+  // INT8-path schemes (W8A8, per-channel/per-group W4A8) keep only packed
+  // slices, one per shard (one when unsharded): ISA-interleaved tiles,
+  // per-group weights pre-dequantized to level-1 codes, epilogue constants
+  // inline. Every GEMM — a decode step or a whole stacked prefill — reuses
+  // the tiles via the blocked driver instead of re-dequantizing weight rows
+  // per call, and the quantization-time structs are dropped after packing
+  // so the weights are never held twice.
+  std::vector<PackedGemmB> packs_;
 };
 
 // One sequence's slice of a batched engine step: `tokens` are appended to
@@ -176,11 +190,12 @@ class QuantizedModel {
   // Decode one token given the previous one; returns logits [vocab].
   Tensor decode_step(int seq, int token);
   // Batched step executor: run every chunk's rows through the block stack in
-  // ONE stacked forward — a single GEMM call per projection per layer covers
-  // all decode tokens and prefill-chunk tokens of the step (per-token
-  // activation quantization is row-wise, so stacking changes no numerics).
-  // Only attention fans out per-sequence against the paged KV cache, and KV
-  // appends use the cache's batched scatter. Returns
+  // ONE stacked forward — a single GEMM call per projection per shard per
+  // layer covers all decode tokens and prefill-chunk tokens of the step
+  // (per-token activation quantization is row-wise, so stacking changes no
+  // numerics). Only attention fans out per-sequence against the paged KV
+  // cache, and KV appends reserve each sequence's slots once, then scatter
+  // them per shard head range. Returns
   // [total_logit_rows(), vocab] logits: chunks contribute their trailing
   // `logit_rows` positions, in chunk order, positions ascending within a
   // chunk (logit_rows = 0 chunks contribute nothing and skip the LM head).
@@ -244,13 +259,14 @@ class QuantizedModel {
   int64_t decode_attention_items() const { return decode_attention_items_; }
 
   // Tensor-parallel observability. tp_shards() is the resolved shard count
-  // (1 = single-shard execution, the classic path). tp_comm_seconds() is the
-  // cumulative wall time spent at the reduction boundaries — the concat of
-  // column-parallel output slices and the all-reduce + epilogue of
-  // row-parallel partials — i.e. the time a multi-device deployment would
-  // spend in collectives. tp_shard_max/mean_seconds() accumulate, per shard
-  // region, the slowest shard's wall time and the mean shard wall time;
-  // their ratio is the shard-imbalance factor EngineStats reports.
+  // (1 = single-shard execution). tp_comm_seconds() is the cumulative wall
+  // time spent at the reduction boundaries — the concat of column-parallel
+  // output slices and the all-reduce + epilogue of row-parallel partials —
+  // i.e. the time a multi-device deployment would spend in collectives.
+  // tp_shard_max/mean_seconds() accumulate, per shard region, the slowest
+  // shard's wall time and the mean shard wall time; their ratio is the
+  // shard-imbalance factor EngineStats reports. All three stay 0 at one
+  // shard.
   int tp_shards() const { return tp_; }
   double tp_comm_seconds() const { return tp_comm_seconds_; }
   double tp_shard_max_seconds() const { return tp_shard_max_seconds_; }
@@ -270,30 +286,23 @@ class QuantizedModel {
     int64_t n;
   };
 
-  // Run the block stack over a chunk of tokens starting at `pos0`; returns
-  // hidden states [n, hidden]. Appends K/V to `seq`'s cache. Thin wrapper
-  // over the batched executor with a single span.
-  Tensor run_blocks(int seq, const Tensor& embedded, int pos0);
-  // The shared executor: `embedded` stacks every span's rows; positions[r]
-  // is row r's absolute position. GEMMs/norms/activations run on the whole
-  // stack; KV append + attention fan out per span.
-  Tensor run_blocks_batched(const std::vector<SeqSpan>& spans,
-                            const Tensor& embedded,
+  // The block-stack executor: `x` stacks every span's embedded rows;
+  // positions[r] is row r's absolute position. Returns the hidden states.
+  // Each layer runs five run_sharded regions over the tp_ shard plan —
+  // QKV+RoPE slices, KV writes + attention, o_proj partials, gate/up+SwiGLU
+  // slices, down partials — with centrally prepared activations and timed
+  // concat / all-reduce boundaries between them. At tp_ = 1 the regions run
+  // inline on the caller's pool, both boundaries are the identity and the
+  // row-parallel projections are plain GEMMs.
+  Tensor run_blocks_batched(const std::vector<SeqSpan>& spans, Tensor x,
                             const std::vector<int>& positions);
-  // Tensor-parallel executor (tp_ > 1): same contract, same bits. Each layer
-  // runs five run_sharded regions — QKV+RoPE slices, KV writes + sharded
-  // attention, o_proj partials, gate/up+SwiGLU slices, down partials — with
-  // centrally-timed concat / all-reduce boundaries between them.
-  Tensor run_blocks_batched_tp(const std::vector<SeqSpan>& spans,
-                               const Tensor& embedded,
-                               const std::vector<int>& positions);
   struct SeqState;  // defined below with the data members
   // Multi-row span attention against the paged cache: full-attention spans
   // gather every cached K/V row and run attention_prefill; windowed spans
   // gather only the visible rows (sinks + retained tail) and run
   // attention_prefill_windowed. [kh0, kh1) selects the KV head range — TP
   // shards pass their slice together with a head-sliced AttentionConfig;
-  // the single-shard path passes the full range. `s_total` is the sequence
+  // a single shard passes the full range. `s_total` is the sequence
   // length after the span's rows were appended.
   Tensor span_attention(int lseq, const SeqState& st, const Tensor& qspan,
                         int64_t s_total, const AttentionConfig& acfg, int kh0,
@@ -316,6 +325,13 @@ class QuantizedModel {
     int64_t f0 = 0, f1 = 0;    // ffn_dim range (gate/up rows, down k-slice)
     int64_t ko0 = 0, ko1 = 0;  // o_proj k-slice of n_heads * head_dim
   };
+  // Row-parallel projection of centrally prepared activations: per-shard
+  // INT32 partials over the k-slices [sh.*k0, sh.*k1), then the fixed-tree
+  // all-reduce and the shared epilogue (timed as comm). One shard runs the
+  // plain GEMM on the full input.
+  Tensor row_parallel(const QuantizedLinear& w, const LinearInput& x,
+                      int64_t TpShard::*k0, int64_t TpShard::*k1,
+                      std::vector<double>& times);
 
   ModelConfig cfg_;
   QuantSchemeConfig qcfg_;

@@ -7,7 +7,6 @@
 
 #include "common/fault_injection.h"
 #include "common/math_util.h"
-#include "common/parallel.h"
 
 namespace qserve {
 
@@ -901,33 +900,21 @@ void ServingEngine::run_normal_step(const std::vector<Request*>& decodes,
       for (ChunkJob& c : chunks) chunk_out.emplace(c.req, &c);
     }
   } else {
-    // Per-request reference path: forward passes fan out across requests;
-    // each touches only its own sequence (the KV pool bookkeeping is
-    // internally locked). Decode and prefill run as separate fan-outs so
-    // their wall time is split in stats.
-    decode_logits.resize(decodes.size());
+    // Per-request reference path: one forward per request, serially — the
+    // model's forward calls share its stats counters, and the kernels inside
+    // each call still parallelize. Decode and prefill run as separate loops
+    // so their wall time is split in stats.
+    decode_logits.reserve(decodes.size());
     const auto td = std::chrono::steady_clock::now();
-    parallel_for(0, static_cast<int64_t>(decodes.size()), 1,
-                 [&](int64_t lo, int64_t hi) {
-                   for (int64_t i = lo; i < hi; ++i) {
-                     Request* r = decodes[static_cast<size_t>(i)];
-                     decode_logits[static_cast<size_t>(i)] =
-                         model_->decode_step(r->seq_handle,
-                                             r->generated.back());
-                   }
-                 });
+    for (Request* r : decodes)
+      decode_logits.push_back(
+          model_->decode_step(r->seq_handle, r->generated.back()));
     if (!decodes.empty()) stats_.decode_seconds += seconds_since(td);
 
     const auto tp = std::chrono::steady_clock::now();
-    parallel_for(0, static_cast<int64_t>(chunks.size()), 1,
-                 [&](int64_t lo, int64_t hi) {
-                   for (int64_t i = lo; i < hi; ++i) {
-                     ChunkJob& c = chunks[static_cast<size_t>(i)];
-                     c.logits = model_->prefill_chunk(
-                         c.req->seq_handle, c.tokens,
-                         static_cast<int>(c.req->prefill_pos));
-                   }
-                 });
+    for (ChunkJob& c : chunks)
+      c.logits = model_->prefill_chunk(c.req->seq_handle, c.tokens,
+                                       static_cast<int>(c.req->prefill_pos));
     if (!chunks.empty()) stats_.prefill_seconds += seconds_since(tp);
 
     for (size_t i = 0; i < decodes.size(); ++i)

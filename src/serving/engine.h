@@ -61,8 +61,9 @@ struct EngineConfig {
   float temperature = 0.0f;
   uint64_t sample_seed = 7;
   // Execute each step as one stacked forward_step (batched GEMMs across all
-  // requests' rows). false = per-request forward calls; same token streams,
-  // kept for A/B benchmarking and as the identity-test reference. A
+  // requests' rows). false = per-request forward calls, one request at a
+  // time; same token streams, kept for A/B benchmarking and as the
+  // identity-test reference. A
   // speculative engine always uses the batched executor (the verify span IS
   // a batched multi-row chunk); the flag is ignored there.
   bool batched_step = true;

@@ -1,11 +1,18 @@
 // Quantized executor: scheme plumbing, KV-precision effects, accuracy
 // ordering across precisions (the Table-2 claim at toy scale), and
-// prefill/decode streaming consistency.
+// prefill/decode streaming consistency, and every scheme pinned bitwise to an
+// op-by-op reference forward built from public primitives.
 #include "model/quantized_model.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "common/parallel.h"
 #include "eval/harness.h"
+#include "kernels/attention.h"
+#include "kernels/ops.h"
+#include "kvcache/fused_attention.h"
 #include "model/reference_model.h"
 
 namespace qserve {
@@ -35,6 +42,191 @@ double logits_rel_err(const Tensor& a, const Tensor& b) {
     den += std::abs(double(b[i]));
   }
   return num / den;
+}
+
+// Op-by-op reference forward: every projection is a standalone
+// QuantizedLinear::apply on the FP activation (which quantizes internally),
+// KV rows go through PagedKvCache::append_batch, single-row spans attend via
+// the full-range batched_fused_decode_attention, multi-row spans via gather +
+// attention_prefill, and the LM head is the FP16 QuantizedLinear. The model's
+// executor must reproduce these logits bit for bit.
+class OpByOpReference {
+ public:
+  OpByOpReference(const ModelWeights& w, const QuantSchemeConfig& scheme)
+      : cfg_(w.cfg), embedding_(w.embedding), ln_final_(w.ln_final) {
+    for (const LayerWeights& lw : w.layers) {
+      Layer l;
+      l.wq = QuantizedLinear(lw.wq, scheme);
+      l.wk = QuantizedLinear(lw.wk, scheme);
+      l.wv = QuantizedLinear(lw.wv, scheme);
+      l.wo = QuantizedLinear(lw.wo, scheme);
+      l.w_gate = QuantizedLinear(lw.w_gate, scheme);
+      l.w_up = QuantizedLinear(lw.w_up, scheme);
+      l.w_down = QuantizedLinear(lw.w_down, scheme);
+      l.ln_attn = lw.ln_attn;
+      l.ln_ffn = lw.ln_ffn;
+      layers_.push_back(std::move(l));
+    }
+    QuantSchemeConfig head = scheme;
+    head.weights = WeightScheme::kFp16;
+    lm_head_ = QuantizedLinear(w.lm_head, head);
+    KvCacheConfig kcfg;
+    kcfg.n_kv_heads = cfg_.n_kv_heads;
+    kcfg.head_dim = cfg_.head_dim;
+    kcfg.precision = scheme.kv;
+    kcfg.page_size = 16;
+    kv_ = std::make_unique<PagedKvCache>(kcfg);
+    acfg_.n_heads = cfg_.n_heads;
+    acfg_.n_kv_heads = cfg_.n_kv_heads;
+    acfg_.head_dim = cfg_.head_dim;
+    acfg_.fp16_accum = scheme.fp16_attention;
+  }
+
+  int begin_sequence() {
+    std::vector<int> ls;
+    for (size_t l = 0; l < layers_.size(); ++l)
+      ls.push_back(kv_->alloc_sequence());
+    seqs_.push_back(std::move(ls));
+    return static_cast<int>(seqs_.size()) - 1;
+  }
+
+  // Chunks must carry this reference's sequence handles.
+  Tensor forward_step(const BatchedStep& step) {
+    const int64_t n = step.total_rows(), H = cfg_.hidden;
+    std::vector<int64_t> row0;
+    std::vector<int> positions;
+    Tensor x({n, H});
+    for (const StepSeqChunk& c : step.chunks) {
+      row0.push_back(static_cast<int64_t>(positions.size()));
+      for (size_t t = 0; t < c.tokens.size(); ++t) {
+        std::copy(embedding_.row(c.tokens[t]),
+                  embedding_.row(c.tokens[t]) + H,
+                  x.row(static_cast<int64_t>(positions.size())));
+        positions.push_back(c.pos0 + static_cast<int>(t));
+      }
+    }
+    for (size_t li = 0; li < layers_.size(); ++li) {
+      const Layer& layer = layers_[li];
+      const Tensor h = rms_norm(x, layer.ln_attn);
+      Tensor q = layer.wq.apply(h);
+      Tensor k = layer.wk.apply(h);
+      const Tensor v = layer.wv.apply(h);
+      rope_inplace(q, positions, cfg_.head_dim);
+      rope_inplace(k, positions, cfg_.head_dim);
+      Tensor attn({n, q.cols()});
+      std::vector<DecodeAttentionItem> items;
+      for (size_t ci = 0; ci < step.chunks.size(); ++ci) {
+        const StepSeqChunk& c = step.chunks[ci];
+        const int lseq = seqs_[static_cast<size_t>(c.seq)][li];
+        const int64_t cn = static_cast<int64_t>(c.tokens.size());
+        kv_->append_batch(lseq, k.row(row0[ci]), v.row(row0[ci]), cn);
+        if (cn == 1) {
+          items.push_back({lseq, q.row(row0[ci]), attn.row(row0[ci])});
+          continue;
+        }
+        Tensor qs({cn, q.cols()});
+        std::copy(q.row(row0[ci]), q.row(row0[ci]) + cn * q.cols(),
+                  qs.data());
+        Tensor kd, vd;
+        kv_->gather(lseq, kd, vd);
+        const Tensor a = attention_prefill(qs, kd, vd, acfg_);
+        std::copy(a.data(), a.data() + a.numel(), attn.row(row0[ci]));
+      }
+      if (!items.empty()) batched_fused_decode_attention(*kv_, items, acfg_);
+      add_inplace(x, layer.wo.apply(attn));
+      const Tensor h2 = rms_norm(x, layer.ln_ffn);
+      const Tensor gate = layer.w_gate.apply(h2);
+      const Tensor up = layer.w_up.apply(h2);
+      Tensor act({n, cfg_.ffn_dim});
+      for (int64_t i = 0; i < act.numel(); ++i) {
+        const float g = gate[i];
+        act[i] = (g / (1.0f + std::exp(-g))) * up[i];
+      }
+      add_inplace(x, layer.w_down.apply(act));
+    }
+    Tensor last({step.total_logit_rows(), H});
+    int64_t out = 0;
+    for (size_t ci = 0; ci < step.chunks.size(); ++ci) {
+      const StepSeqChunk& c = step.chunks[ci];
+      const int64_t end = row0[ci] + static_cast<int64_t>(c.tokens.size());
+      for (int64_t r = end - c.logit_rows; r < end; ++r)
+        std::copy(x.row(r), x.row(r) + H, last.row(out++));
+    }
+    return lm_head_.apply(rms_norm(last, ln_final_));
+  }
+
+ private:
+  struct Layer {
+    QuantizedLinear wq, wk, wv, wo, w_gate, w_up, w_down;
+    Tensor ln_attn, ln_ffn;
+  };
+  ModelConfig cfg_;
+  Tensor embedding_, ln_final_;
+  std::vector<Layer> layers_;
+  QuantizedLinear lm_head_;
+  std::unique_ptr<PagedKvCache> kv_;
+  AttentionConfig acfg_;
+  std::vector<std::vector<int>> seqs_;
+};
+
+TEST(QuantizedModel, EverySchemeMatchesOpByOpReferenceBitwise) {
+  // Two warm sequences decode while two fresh prompts prefill in the same
+  // step (one asks for logits at every row), then all four continue with a
+  // decode step. Both steps' logits must equal the op-by-op reference for
+  // every scheme preset, at 1 and 8 threads.
+  const auto& f = fixture();
+  const QuantSchemeConfig schemes[] = {
+      QuantSchemeConfig::qserve_w4a8kv4_g128(),
+      QuantSchemeConfig::qserve_w4a8kv4_per_channel(),
+      QuantSchemeConfig::trt_w8a8(),
+      QuantSchemeConfig::trt_w4a16(),
+      QuantSchemeConfig::atom_w4a4(),
+      QuantSchemeConfig::fp16(),
+  };
+  for (const int threads : {1, 8}) {
+    set_num_threads(threads);
+    for (size_t si = 0; si < std::size(schemes); ++si) {
+      SCOPED_TRACE("scheme " + std::to_string(si) + ", threads " +
+                   std::to_string(threads));
+      QuantizedModel m(f.weights, schemes[si]);
+      OpByOpReference ref(f.weights, schemes[si]);
+      std::vector<int> ms, rs;
+      for (int i = 0; i < 4; ++i) {
+        ms.push_back(m.begin_sequence());
+        rs.push_back(ref.begin_sequence());
+      }
+      const std::vector<std::vector<int>> warm = {{3, 1, 4, 1, 5}, {9, 2, 6}};
+      for (int i = 0; i < 2; ++i) {
+        m.prefill(ms[size_t(i)], warm[size_t(i)]);
+        ref.forward_step(
+            BatchedStep{{{rs[size_t(i)], warm[size_t(i)], 0, 1}}});
+      }
+      auto check_step = [&](const std::vector<StepSeqChunk>& chunks) {
+        BatchedStep mstep{chunks}, rstep{chunks};
+        for (size_t c = 0; c < chunks.size(); ++c) {
+          mstep.chunks[c].seq = ms[size_t(chunks[c].seq)];
+          rstep.chunks[c].seq = rs[size_t(chunks[c].seq)];
+        }
+        const Tensor got = m.forward_step(mstep);
+        const Tensor want = ref.forward_step(rstep);
+        ASSERT_TRUE(got.same_shape(want));
+        int64_t mismatches = 0;
+        for (int64_t i = 0; i < got.numel(); ++i)
+          mismatches += got[i] != want[i] ? 1 : 0;
+        EXPECT_EQ(mismatches, 0);
+      };
+      // Chunk seq fields index ms/rs here; check_step maps them.
+      check_step({{0, {42}, 5, 1},
+                  {1, {7}, 3, 1},
+                  {2, {8, 6, 7, 5, 3, 0, 9}, 0, 1},
+                  {3, {2, 7, 1, 8}, 0, 4}});
+      check_step({{0, {11}, 6, 1},
+                  {1, {12}, 4, 1},
+                  {2, {13}, 7, 1},
+                  {3, {14}, 4, 1}});
+    }
+  }
+  set_num_threads(0);
 }
 
 TEST(QuantizedModel, Fp16SchemeNearlyExact) {
