@@ -36,14 +36,6 @@ const EngineConfig& validated(const QuantizedModel* model,
   return cfg;
 }
 
-// The scheduler must reserve the verify forward's full k+1-token peak per
-// decoding request, not the post-rollback footprint.
-SchedulerConfig scheduler_config(const EngineConfig& cfg, bool speculative) {
-  SchedulerConfig s = cfg.scheduler;
-  if (speculative) s.decode_tokens_per_step = cfg.speculative.lookahead_k + 1;
-  return s;
-}
-
 // Context token at absolute position p: the prompt, then the generated
 // stream (what a resumed or draft-catch-up chunk replays).
 int context_token(const Request& r, int64_t p) {
@@ -61,7 +53,6 @@ struct ServingEngine::ChunkJob {
   Request* req = nullptr;
   std::vector<int> tokens;
   bool completes_prefill = false;
-  Tensor logits;               // per-request path: owned storage
   const float* out = nullptr;  // logits of the chunk's last position
 };
 
@@ -71,13 +62,11 @@ ServingEngine::ServingEngine(QuantizedModel* model, const EngineConfig& cfg)
 ServingEngine::ServingEngine(QuantizedModel* model, QuantizedModel* draft,
                              const EngineConfig& cfg)
     : model_(model), draft_(draft), cfg_(validated(model, draft, cfg)),
-      scheduler_(scheduler_config(cfg, draft != nullptr),
-                 model->kv_cache().config().page_size,
-                 model->config().n_layers),
+      decode_span_(draft != nullptr ? cfg.speculative.lookahead_k + 1 : 1),
+      window_slack_(std::max(cfg.scheduler.prefill_chunk, decode_span_)),
+      scheduler_(cfg.scheduler, model->kv_cache().config().page_size,
+                 model->config().n_layers, decode_span_),
       rng_(cfg.sample_seed) {
-  const SchedulerConfig sc = scheduler_config(cfg, draft != nullptr);
-  window_slack_ = std::max<int64_t>(sc.prefill_chunk,
-                                    sc.decode_tokens_per_step);
   if (cfg_.prefix_caching) {
     QS_CHECK_MSG(cfg_.prefix_cache_max_entries >= 1,
                  "prefix_cache_max_entries must be >= 1 when caching is on");
@@ -432,14 +421,12 @@ void ServingEngine::unpin_prefix(Request& r) {
 void ServingEngine::prefix_pressure_evict() {
   if (prefix_index_.size() == 0) return;
   const int64_t page = model_->kv_cache().config().page_size;
-  const int64_t decode_tokens =
-      speculative() ? cfg_.speculative.lookahead_k + 1
-                    : cfg_.scheduler.decode_tokens_per_step;
   // Conservative per-step need: every running request's peak decode append
   // (+1 page for boundary crossing), a full prefill chunk, and one admission
   // hold — if the pool can cover that, the cache is not in the way.
   const int64_t watermark =
-      (static_cast<int64_t>(running_.size()) * (ceil_div(decode_tokens, page) + 1) +
+      (static_cast<int64_t>(running_.size()) *
+           (ceil_div(int64_t(decode_span_), page) + 1) +
        ceil_div(static_cast<int64_t>(cfg_.scheduler.prefill_chunk), page) + 2) *
       model_->config().n_layers;
   while (model_->kv_cache().free_pages() < watermark) {
@@ -521,27 +508,6 @@ void ServingEngine::fault_preempt(const std::vector<Request*>& decodes,
                  running_.end());
 }
 
-void ServingEngine::lower_prefill_chunks(
-    BatchedStep& bstep, const std::vector<ChunkJob>& chunks,
-    int64_t next_logit_row, std::vector<int64_t>& chunk_logit_row) {
-  chunk_logit_row.assign(chunks.size(), -1);
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const ChunkJob& c = chunks[i];
-    bstep.chunks.push_back({c.req->seq_handle, c.tokens,
-                            static_cast<int>(c.req->prefill_pos),
-                            c.completes_prefill ? 1 : 0});
-    if (c.completes_prefill) chunk_logit_row[i] = next_logit_row++;
-  }
-}
-
-void ServingEngine::bind_chunk_logits(
-    std::vector<ChunkJob>& chunks, const std::vector<int64_t>& chunk_logit_row,
-    const Tensor& step_logits) {
-  for (size_t i = 0; i < chunks.size(); ++i)
-    if (chunk_logit_row[i] >= 0)
-      chunks[i].out = step_logits.row(chunk_logit_row[i]);
-}
-
 void ServingEngine::handle_prefill_result(Request& r, ChunkJob& c) {
   r.prefill_pos += static_cast<int64_t>(c.tokens.size());
   stats_.prefill_tokens += static_cast<int64_t>(c.tokens.size());
@@ -564,9 +530,10 @@ void ServingEngine::handle_prefill_result(Request& r, ChunkJob& c) {
 
 std::vector<std::vector<int>> ServingEngine::propose_draft_tokens(
     const std::vector<Request*>& decodes) {
-  const int k = cfg_.speculative.lookahead_k;
+  const int k = decode_span_ - 1;
   const int64_t vocab = model_->config().vocab;
   std::vector<std::vector<int>> proposals(decodes.size());
+  if (decodes.empty()) return proposals;  // a forward needs >= 1 row
   std::vector<int> prev(decodes.size(), 0);
   // One batched draft forward per lookahead depth across every decoding
   // request — the draft model sees the same GEMM-occupancy benefit as the
@@ -601,71 +568,90 @@ std::vector<std::vector<int>> ServingEngine::propose_draft_tokens(
   return proposals;
 }
 
-void ServingEngine::run_speculative_step(const std::vector<Request*>& decodes,
-                                         std::vector<ChunkJob>& chunks) {
-  const int k = cfg_.speculative.lookahead_k;
+void ServingEngine::run_step(const std::vector<Request*>& decodes,
+                             std::vector<ChunkJob>& chunks) {
   const int64_t vocab = model_->config().vocab;
 
-  // 1. Draft proposals. The draft is decode work: its wall time joins the
-  // decode split so speculative decode tok/s pays for the draft honestly.
-  std::vector<std::vector<int>> proposals;
-  if (!decodes.empty()) {
-    const auto td = std::chrono::steady_clock::now();
-    proposals = propose_draft_tokens(decodes);
-    stats_.decode_seconds += seconds_since(td);
-  }
+  // 1. Draft proposals (none at k = 0, where no draft forward runs). The
+  // draft is decode work: its wall time joins the decode split so
+  // speculative decode tok/s pays for the draft honestly.
+  const auto td = std::chrono::steady_clock::now();
+  const std::vector<std::vector<int>> proposals =
+      propose_draft_tokens(decodes);
+  if (!decodes.empty()) stats_.decode_seconds += seconds_since(td);
 
-  // 2. One batched target forward: every request's verify span (pending
-  // token + k draft candidates, logits at all k+1 positions) stacked with
-  // every prefill chunk (logits only where a sample will happen).
+  // 2. Lower the step: every decoding request's span (pending token + its
+  // proposals, logits at every position) first, then every prefill chunk
+  // (a completing chunk asks for one logit row, a mid-prompt chunk for none).
   BatchedStep bstep;
   bstep.chunks.reserve(decodes.size() + chunks.size());
-  int64_t prefill_rows = 0;
   for (size_t i = 0; i < decodes.size(); ++i) {
     Request* r = decodes[i];
-    StepSeqChunk c;
-    c.seq = r->seq_handle;
-    c.pos0 = static_cast<int>(model_->seq_pos(r->seq_handle));
-    c.tokens.reserve(static_cast<size_t>(k) + 1);
-    c.tokens.push_back(r->generated.back());
+    StepSeqChunk c{r->seq_handle,
+                   {r->generated.back()},
+                   static_cast<int>(model_->seq_pos(r->seq_handle)),
+                   decode_span_};
     c.tokens.insert(c.tokens.end(), proposals[i].begin(), proposals[i].end());
-    c.logit_rows = k + 1;
     bstep.chunks.push_back(std::move(c));
   }
-  // Map each chunk to its row in the logits tensor: verify span i owns rows
-  // [i*(k+1), (i+1)*(k+1)); completing prefill chunks follow, one row each.
-  std::vector<int64_t> chunk_logit_row;
-  lower_prefill_chunks(bstep, chunks,
-                       static_cast<int64_t>(decodes.size()) * (k + 1),
-                       chunk_logit_row);
   for (const ChunkJob& c : chunks)
-    prefill_rows += static_cast<int64_t>(c.tokens.size());
+    bstep.chunks.push_back({c.req->seq_handle, c.tokens,
+                            static_cast<int>(c.req->prefill_pos),
+                            c.completes_prefill ? 1 : 0});
   if (bstep.chunks.empty()) return;
 
-  const int64_t verify_rows = static_cast<int64_t>(decodes.size()) * (k + 1);
-  const auto tf = std::chrono::steady_clock::now();
-  const Tensor step_logits = model_->forward_step(bstep);
-  const double dt = seconds_since(tf);
-  stats_.decode_seconds +=
-      dt * double(verify_rows) / double(verify_rows + prefill_rows);
-  stats_.prefill_seconds +=
-      dt * double(prefill_rows) / double(verify_rows + prefill_rows);
+  // 3. Execute. Logits rows: span i owns [i*span, (i+1)*span); completing
+  // prefill chunks follow, one row each.
+  const int64_t decode_rows =
+      static_cast<int64_t>(decodes.size()) * decode_span_;
+  Tensor step_logits;
+  if (cfg_.batched_step) {
+    // One stacked forward: one GEMM call per projection per layer covers
+    // every row of the step. Its wall time is apportioned by row count so
+    // the prefill/decode throughput split stays meaningful.
+    const int64_t step_rows = bstep.total_rows();
+    const auto tf = std::chrono::steady_clock::now();
+    step_logits = model_->forward_step(bstep);
+    const double dt = seconds_since(tf);
+    stats_.decode_seconds += dt * double(decode_rows) / double(step_rows);
+    stats_.prefill_seconds +=
+        dt * double(step_rows - decode_rows) / double(step_rows);
+  } else {
+    // The same chunks, one forward_step each in chunk order, logits stacked
+    // — bitwise the batched result, since no row's numerics depend on what
+    // else is stacked with it.
+    step_logits = Tensor({bstep.total_logit_rows(), vocab});
+    float* dst = step_logits.data();
+    for (size_t i = 0; i < bstep.chunks.size(); ++i) {
+      const auto tf = std::chrono::steady_clock::now();
+      const Tensor part =
+          model_->forward_step(BatchedStep{{std::move(bstep.chunks[i])}});
+      (i < decodes.size() ? stats_.decode_seconds : stats_.prefill_seconds) +=
+          seconds_since(tf);
+      dst = std::copy(part.vec().begin(), part.vec().end(), dst);
+    }
+  }
   if (!decodes.empty()) ++stats_.speculative_steps;
-  bind_chunk_logits(chunks, chunk_logit_row, step_logits);
 
-  std::unordered_map<const Request*, size_t> verify_index;
-  for (size_t i = 0; i < decodes.size(); ++i) verify_index.emplace(decodes[i], i);
+  std::unordered_map<const Request*, size_t> decode_index;
+  for (size_t i = 0; i < decodes.size(); ++i) decode_index.emplace(decodes[i], i);
   std::unordered_map<const Request*, ChunkJob*> chunk_out;
-  for (ChunkJob& c : chunks) chunk_out.emplace(c.req, &c);
+  int64_t next_row = decode_rows;
+  for (ChunkJob& c : chunks) {
+    if (c.completes_prefill) c.out = step_logits.row(next_row++);
+    chunk_out.emplace(c.req, &c);
+  }
 
-  // 3. Acceptance, emission, and rollback — serial, in admission order,
-  // like every sampling loop in this engine.
+  // 4. Acceptance, emission and rollback — serial, in admission (running_)
+  // order, so the streams and the RNG draw order under temperature > 0 are
+  // independent of execution mode and thread count.
   for (Request* r : running_) {
     if (auto it = chunk_out.find(r); it != chunk_out.end()) {
       handle_prefill_result(*r, *it->second);
-    } else if (auto vit = verify_index.find(r); vit != verify_index.end()) {
-      const int64_t base = static_cast<int64_t>(vit->second) * (k + 1);
-      const std::vector<int>& prop = proposals[vit->second];
+    } else if (auto dit = decode_index.find(r); dit != decode_index.end()) {
+      const int64_t base = static_cast<int64_t>(dit->second) * decode_span_;
+      const std::vector<int>& prop = proposals[dit->second];
+      const int k = static_cast<int>(prop.size());
       // Longest prefix of draft tokens matching the target's own greedy
       // argmax. Row j scored position pos0+j, i.e. the logits the baseline
       // engine would have decoded after consuming prop[0..j-1].
@@ -688,17 +674,17 @@ void ServingEngine::run_speculative_step(const std::vector<Request*>& decodes,
         deliver(*r, prop[static_cast<size_t>(j)]);
       if (!r->done())
         deliver(*r, sample(step_logits.row(base + accepted), vocab));
-      if (!r->done()) {
-        // Truncate the rejected tail on both models. The target rolls back
-        // to context_len - 1 — exactly the baseline invariant (the newest
-        // emitted token is appended by the NEXT verify span). The draft
-        // rolls back to its provably-context-matching prefix; depth-0 of the
-        // next proposal replays whatever it is still missing.
-        model_->truncate_sequence(r->seq_handle, r->context_len() - 1);
-        const int64_t draft_len = draft_->seq_pos(r->draft_seq_handle);
-        draft_->truncate_sequence(
-            r->draft_seq_handle, std::min(draft_len, ctx_before + accepted));
-      }
+      if (r->done() || accepted == k) continue;
+      // Truncate the rejected tail on both models (k > 0 here, so a draft
+      // sequence exists). The target rolls back to context_len - 1 — exactly
+      // the baseline invariant (the newest emitted token is appended by the
+      // NEXT span). The draft rolls back to its provably-context-matching
+      // prefix; depth-0 of the next proposal replays whatever it is still
+      // missing.
+      model_->truncate_sequence(r->seq_handle, r->context_len() - 1);
+      const int64_t draft_len = draft_->seq_pos(r->draft_seq_handle);
+      draft_->truncate_sequence(r->draft_seq_handle,
+                                std::min(draft_len, ctx_before + accepted));
     }
   }
 }
@@ -809,10 +795,8 @@ bool ServingEngine::step() {
         r->prefill_pos + plan.prefills[i].tokens >= r->context_len();
     prefill_rows += static_cast<int64_t>(chunks[i].tokens.size());
   }
-  const int64_t decode_rows =
-      static_cast<int64_t>(plan.decodes.size()) *
-      (speculative() ? cfg_.speculative.lookahead_k + 1 : 1);
-  const int64_t step_rows = decode_rows + prefill_rows;
+  const int64_t step_rows =
+      static_cast<int64_t>(plan.decodes.size()) * decode_span_ + prefill_rows;
 
   // Execute. Injected faults (fault::kEngineStep here; kv_alloc / kv_append
   // inside the forwards) abort execution strictly before any sampling, so
@@ -823,11 +807,7 @@ bool ServingEngine::step() {
   bool faulted = false;
   try {
     if (step_rows > 0) fault::maybe_fail(fault::kEngineStep);
-    if (speculative()) {
-      run_speculative_step(plan.decodes, chunks);
-    } else {
-      run_normal_step(plan.decodes, chunks, decode_rows, prefill_rows);
-    }
+    run_step(plan.decodes, chunks);
   } catch (const FaultInjectedError&) {
     faulted = true;
   }
@@ -852,91 +832,6 @@ bool ServingEngine::step() {
                          (draft_ ? draft_->tp_comm_seconds() : 0.0) - comm0;
   refresh_derived_stats();
   return !scheduler_.idle(static_cast<int>(running_.size()));
-}
-
-void ServingEngine::run_normal_step(const std::vector<Request*>& decodes,
-                                    std::vector<ChunkJob>& chunks,
-                                    int64_t decode_rows,
-                                    int64_t prefill_rows) {
-  const int64_t step_rows = decode_rows + prefill_rows;
-  std::unordered_map<const Request*, const float*> decode_out;
-  std::unordered_map<const Request*, ChunkJob*> chunk_out;
-  // Logits storage must outlive the sampling loop below: the batched path
-  // points rows into step_logits, the per-request path owns decode_logits
-  // and the ChunkJobs' logits tensors.
-  std::vector<Tensor> decode_logits;
-  Tensor step_logits;
-
-  if (cfg_.batched_step) {
-    // Lower the StepPlan to one BatchedStep — decode rows first, then the
-    // prefill chunks — and execute it as a single stacked forward: one GEMM
-    // call per projection per layer covers every row of the step.
-    // Per-row logit selection: decode rows and completing prefill chunks
-    // sample, mid-prompt chunks skip the LM head entirely.
-    BatchedStep bstep;
-    bstep.chunks.reserve(decodes.size() + chunks.size());
-    for (Request* r : decodes)
-      bstep.chunks.push_back(
-          {r->seq_handle,
-           {r->generated.back()},
-           static_cast<int>(model_->seq_pos(r->seq_handle)),
-           /*logit_rows=*/1});
-    std::vector<int64_t> chunk_logit_row;
-    lower_prefill_chunks(bstep, chunks,
-                         static_cast<int64_t>(decodes.size()),
-                         chunk_logit_row);
-    if (!bstep.chunks.empty()) {
-      const auto tf = std::chrono::steady_clock::now();
-      step_logits = model_->forward_step(bstep);
-      // One forward covers both work types; apportion its wall time by row
-      // count so the prefill/decode throughput split stays meaningful.
-      const double dt = seconds_since(tf);
-      stats_.decode_seconds += dt * double(decode_rows) / double(step_rows);
-      stats_.prefill_seconds += dt * double(prefill_rows) / double(step_rows);
-      for (size_t i = 0; i < decodes.size(); ++i)
-        decode_out.emplace(decodes[i],
-                           step_logits.row(static_cast<int64_t>(i)));
-      bind_chunk_logits(chunks, chunk_logit_row, step_logits);
-      for (ChunkJob& c : chunks) chunk_out.emplace(c.req, &c);
-    }
-  } else {
-    // Per-request reference path: one forward per request, serially — the
-    // model's forward calls share its stats counters, and the kernels inside
-    // each call still parallelize. Decode and prefill run as separate loops
-    // so their wall time is split in stats.
-    decode_logits.reserve(decodes.size());
-    const auto td = std::chrono::steady_clock::now();
-    for (Request* r : decodes)
-      decode_logits.push_back(
-          model_->decode_step(r->seq_handle, r->generated.back()));
-    if (!decodes.empty()) stats_.decode_seconds += seconds_since(td);
-
-    const auto tp = std::chrono::steady_clock::now();
-    for (ChunkJob& c : chunks)
-      c.logits = model_->prefill_chunk(c.req->seq_handle, c.tokens,
-                                       static_cast<int>(c.req->prefill_pos));
-    if (!chunks.empty()) stats_.prefill_seconds += seconds_since(tp);
-
-    for (size_t i = 0; i < decodes.size(); ++i)
-      decode_out.emplace(decodes[i], decode_logits[i].data());
-    for (ChunkJob& c : chunks) {
-      c.out = c.logits.data();
-      chunk_out.emplace(c.req, &c);
-    }
-  }
-
-  // Sampling, callbacks, and stats stay serial, in admission (running_)
-  // order, so the generated streams — and the RNG consumption order under
-  // temperature > 0 — are identical across execution modes and thread
-  // counts.
-  const int64_t vocab = model_->config().vocab;
-  for (Request* r : running_) {
-    if (auto it = chunk_out.find(r); it != chunk_out.end()) {
-      handle_prefill_result(*r, *it->second);
-    } else if (auto dit = decode_out.find(r); dit != decode_out.end()) {
-      deliver(*r, sample(dit->second, vocab));
-    }
-  }
 }
 
 void ServingEngine::refresh_derived_stats() {

@@ -7,14 +7,15 @@
 // preservation). Wall-clock throughput at GPU scale comes from src/simulator.
 //
 // Each step lowers the Scheduler's StepPlan into one BatchedStep — every
-// decode token plus every prefill-chunk token, stacked row-wise — and
-// executes it with a single QuantizedModel::forward_step() call, so the
+// decoding request's span plus every prefill-chunk token, stacked row-wise —
+// and executes it with a single QuantizedModel::forward_step() call, so the
 // pre-packed cache-blocked GEMMs see the whole step's rows in one call per
-// projection per layer instead of m=1 decode calls per request. The
-// per-request execution path (one forward call per request) is kept behind
-// EngineConfig::batched_step = false as the bitwise reference and benchmark
-// baseline; both paths produce identical token streams at any thread count
-// and ISA.
+// projection per layer instead of m=1 decode calls per request. There is one
+// step path: plain decode is the speculative step (SpeculativeConfig) with
+// k = 0 — a 1-token span, no draft proposals, nothing to roll back.
+// EngineConfig::batched_step = false runs the same lowered step one chunk
+// per forward_step call, as the bitwise reference and benchmark baseline;
+// both produce identical token streams at any thread count and ISA.
 //
 // Callers can stream results instead of polling run_to_completion():
 // submit(prompt, opts, on_token, on_finish) registers per-token/finish
@@ -61,11 +62,10 @@ struct EngineConfig {
   float temperature = 0.0f;
   uint64_t sample_seed = 7;
   // Execute each step as one stacked forward_step (batched GEMMs across all
-  // requests' rows). false = per-request forward calls, one request at a
-  // time; same token streams, kept for A/B benchmarking and as the
-  // identity-test reference. A
-  // speculative engine always uses the batched executor (the verify span IS
-  // a batched multi-row chunk); the flag is ignored there.
+  // requests' rows). false = the same lowered step run one chunk (one
+  // request's span or prefill chunk) per forward_step call, in chunk order;
+  // same token streams, kept for A/B benchmarking and as the identity-test
+  // reference. Applies to plain and speculative engines alike.
   bool batched_step = true;
   SpeculativeConfig speculative;
   // Bounded admission (0 = unlimited). When a new submission would push the
@@ -116,8 +116,7 @@ struct EngineStats {
   // wall_seconds — the observable this PR's SIMD attention kernels move.
   double attention_seconds = 0;
   double attention_share = 0;
-  // Tensor-parallel observables, maintained identically by the plain and
-  // speculative engines (draft-model deltas included, like
+  // Tensor-parallel observables (draft-model deltas included, like
   // attention_seconds). comm_seconds is wall time at the shard reduction
   // boundaries — column-parallel concats and row-parallel all-reduce +
   // epilogue. shard_imbalance is cumulative slowest-shard wall time over
@@ -140,26 +139,30 @@ struct EngineStats {
   double mean_first_token_steps = 0;
   double mean_completion_steps = 0;
   // --- speculative decoding ---------------------------------------------
-  // Engine steps that ran a target verify forward (>= 1 decoding request).
-  // Their draft + verify wall time lands in decode_seconds and every token
-  // they emit counts once in decode_tokens, so a step that lands 1 + a
-  // accepted tokens raises decode tok/s honestly instead of inflating it —
-  // the same discipline that keeps first tokens out of the decode split.
+  // Defined for every engine: plain decode is the k = 0 case.
+  // Engine steps that ran a target forward over >= 1 decode span (k = 0:
+  // every step with a decoding request). Their draft + verify wall time
+  // lands in decode_seconds and every token they emit counts once in
+  // decode_tokens, so a step that lands 1 + a accepted tokens raises decode
+  // tok/s honestly instead of inflating it — the same discipline that keeps
+  // first tokens out of the decode split.
   int64_t speculative_steps = 0;
   // Per-request verify executions: how many times a request's k+1-token span
-  // went through a target forward. The baseline spends exactly one target
-  // forward per decode token; speculation spends verify_forwards for
-  // (accepted + verify_forwards) tokens, so the ratio below dropping under
-  // 1.0 is the "fewer target forwards than tokens" win.
+  // went through a target forward (k = 0: the decode rows executed).
   int64_t verify_forwards = 0;
-  int64_t proposed_tokens = 0;  // lookahead_k per request per verify step
-  int64_t accepted_tokens = 0;  // accepted draft prefix lengths, summed
-  double acceptance_rate = 0;   // accepted_tokens / proposed_tokens
+  int64_t proposed_tokens = 0;  // k per request per verify step (k = 0: 0)
+  int64_t accepted_tokens = 0;  // accepted draft prefix lengths (k = 0: 0)
+  double acceptance_rate = 0;   // accepted/proposed; 0 when nothing proposed
+  // verify_forwards / decode_tokens, at most 1.0: re-prefill completions
+  // after preemption count as decode tokens without a verify forward, so
+  // the plain engine reads just under 1.0 when it preempts. Speculation
+  // spends verify_forwards for (accepted + verify_forwards) tokens, so the
+  // ratio dropping well under 1.0 is the "fewer target forwards than
+  // tokens" win.
   double target_forwards_per_decode_token = 0;
   // --- request lifecycle --------------------------------------------------
   // Finished-request counts by FinishReason; their sum is the number of
-  // on_finish callbacks fired. Maintained identically by the plain and
-  // speculative engines.
+  // on_finish callbacks fired.
   int64_t completed = 0;         // kLength
   int64_t cancelled = 0;         // kCancelled
   int64_t deadline_expired = 0;  // kDeadline
@@ -281,19 +284,6 @@ class ServingEngine {
   struct ChunkJob;  // one prefill share's materialized tokens (engine.cpp)
 
   int sample(const float* logits, int64_t vocab);
-  // Shared between the speculative and non-speculative batched paths, so
-  // the prefill bookkeeping cannot drift between them:
-  // Append the step's prefill chunks to `bstep` (a completing chunk asks
-  // for one logit row, a mid-prompt chunk for none) and record each chunk's
-  // logits-row index (-1 for mid-prompt), numbering from next_logit_row.
-  void lower_prefill_chunks(BatchedStep& bstep,
-                            const std::vector<ChunkJob>& chunks,
-                            int64_t next_logit_row,
-                            std::vector<int64_t>& chunk_logit_row);
-  // Point every completing chunk's `out` at its row of the step's logits.
-  static void bind_chunk_logits(std::vector<ChunkJob>& chunks,
-                                const std::vector<int64_t>& chunk_logit_row,
-                                const Tensor& step_logits);
   // The prefill half of the sampling loop: advance chunk bookkeeping and,
   // when the chunk completes the request's prefill, transition it to
   // decoding and sample its first token from c.out.
@@ -344,21 +334,17 @@ class ServingEngine {
   void spawn_siblings(Request& r, const float* logits);
   // Draft-k proposals for every decoding request of the plan, one batched
   // draft forward per lookahead depth (depth 0 also catches the draft up on
-  // context it has not seen). Returns proposals[i] for plan.decodes[i].
+  // context it has not seen). Returns proposals[i] for plan.decodes[i];
+  // at k = 0 no forward runs and every proposal list is empty.
   std::vector<std::vector<int>> propose_draft_tokens(
       const std::vector<Request*>& decodes);
-  // Speculative execution of one planned step: draft proposals, one batched
-  // target verify forward (verify spans + the step's prefill chunks),
-  // greedy longest-prefix acceptance in admission order, KV rollback on both
-  // models. Fills the same per-request sampling bookkeeping as the normal
-  // paths.
-  void run_speculative_step(const std::vector<Request*>& decodes,
-                            std::vector<ChunkJob>& chunks);
-  // Non-speculative execution of one planned step (batched or per-request
-  // forwards per cfg_.batched_step) plus the serial sampling loop.
-  void run_normal_step(const std::vector<Request*>& decodes,
-                       std::vector<ChunkJob>& chunks, int64_t decode_rows,
-                       int64_t prefill_rows);
+  // Execute one planned step, for every engine: draft proposals, one
+  // lowered target forward (decode spans of pending token + proposals, then
+  // the step's prefill chunks; run whole or chunk by chunk per
+  // cfg_.batched_step), then greedy longest-prefix acceptance, emission and
+  // rollback of rejected tails, serially in admission order.
+  void run_step(const std::vector<Request*>& decodes,
+                std::vector<ChunkJob>& chunks);
   // Recompute the derived stats (throughputs, per-step/request means) from
   // the running counters; called at the end of every step().
   void refresh_derived_stats();
@@ -366,6 +352,10 @@ class ServingEngine {
   QuantizedModel* model_;
   QuantizedModel* draft_ = nullptr;  // speculative decoding draft model
   EngineConfig cfg_;
+  // Rows one decoding request's span occupies per step: k + 1 (lookahead_k
+  // + 1 with a draft model, 1 without). The scheduler reserves pages for
+  // this peak append, before any rollback.
+  int decode_span_ = 1;
   // Ring slack passed to PagedKvCache::set_window for every windowed
   // request: the largest single append span the engine can produce — a full
   // prefill chunk or a speculative verify span (k+1 tokens, which is also

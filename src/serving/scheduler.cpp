@@ -8,16 +8,18 @@
 
 namespace qserve {
 
-Scheduler::Scheduler(const SchedulerConfig& cfg, int page_size, int n_layers)
-    : cfg_(cfg), page_size_(page_size), n_layers_(n_layers) {
+Scheduler::Scheduler(const SchedulerConfig& cfg, int page_size, int n_layers,
+                     int decode_tokens_per_step)
+    : cfg_(cfg), page_size_(page_size), n_layers_(n_layers),
+      decode_tokens_per_step_(decode_tokens_per_step) {
   // Loud construction-time validation: a zero/negative chunk or batch would
   // otherwise plan empty steps forever, and a bad pool geometry would
   // corrupt the page-cost arithmetic downstream.
   QS_CHECK_MSG(cfg_.max_batch > 0, "SchedulerConfig.max_batch must be >= 1");
   QS_CHECK_MSG(cfg_.prefill_chunk > 0,
                "SchedulerConfig.prefill_chunk must be >= 1");
-  QS_CHECK_MSG(cfg_.decode_tokens_per_step > 0,
-               "SchedulerConfig.decode_tokens_per_step must be >= 1");
+  QS_CHECK_MSG(decode_tokens_per_step_ > 0,
+               "decode_tokens_per_step must be >= 1");
   QS_CHECK_MSG(page_size_ > 0, "KV page_size must be >= 1");
   QS_CHECK_MSG(n_layers_ > 0, "model must have >= 1 layer");
 }
@@ -135,7 +137,7 @@ StepPlan Scheduler::plan(const std::vector<Request*>& running,
     int64_t need = 0;
     for (Request* r : live)
       if (r->state == RequestState::kDecoding)
-        need += grow_pages(*r, cfg_.decode_tokens_per_step);
+        need += grow_pages(*r, decode_tokens_per_step_);
     return need;
   };
   int64_t need = decode_need();

@@ -41,13 +41,6 @@ struct SchedulerConfig {
   int max_batch = 8;
   // Maximum prompt tokens prefilled per engine step, shared across requests.
   int prefill_chunk = 128;
-  // KV tokens one decode step may append per decoding request before its
-  // rollback (if any). 1 for classic decode; a speculative engine sets this
-  // to lookahead_k + 1, because a verify forward appends the pending token
-  // plus k draft candidates before truncating the rejected tail. plan()
-  // reserves pages for the full peak, so admission and preemption stay sound
-  // even though the post-rollback footprint is usually smaller.
-  int decode_tokens_per_step = 1;
 };
 
 // One request's slice of this step's prefill chunk budget.
@@ -80,8 +73,15 @@ class Scheduler {
  public:
   // `page_size` / `n_layers` give the KV pool geometry: appending one token
   // to a request costs one page per layer whenever its length crosses a
-  // page boundary.
-  Scheduler(const SchedulerConfig& cfg, int page_size, int n_layers);
+  // page boundary. `decode_tokens_per_step` is the KV tokens one step may
+  // append per decoding request before its rollback (if any): 1 for plain
+  // decode, k + 1 for a speculative engine, whose verify forward appends the
+  // pending token plus k draft candidates before truncating the rejected
+  // tail. plan() reserves pages for the full peak, so admission and
+  // preemption stay sound even though the post-rollback footprint is
+  // usually smaller.
+  Scheduler(const SchedulerConfig& cfg, int page_size, int n_layers,
+            int decode_tokens_per_step = 1);
 
   void enqueue(Request* r) {
     queue_.push_back(r);
@@ -150,6 +150,7 @@ class Scheduler {
   SchedulerConfig cfg_;
   int page_size_;
   int n_layers_;
+  int decode_tokens_per_step_;
   std::deque<Request*> queue_;
   int64_t queued_prompt_tokens_ = 0;
   std::function<void(Request&)> admission_hook_;

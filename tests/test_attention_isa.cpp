@@ -259,7 +259,9 @@ const ModelWeights& toy_weights() {
 }
 
 TEST(BatchedAttentionExecutor, OneDispatchPerLayerPerStep) {
-  QuantizedModel m(toy_weights(), QuantSchemeConfig::qserve_w4a8kv4_g128());
+  // Pinned to one shard: a sharded model dispatches once per shard.
+  QuantizedModel m(toy_weights(), QuantSchemeConfig::qserve_w4a8kv4_g128(),
+                   TpConfig{1});
   const int n_layers = m.config().n_layers;
 
   std::vector<int> seqs;

@@ -326,5 +326,31 @@ TEST(ServingEngineBatched, BatchTokenStatsCountRowsNotRequests) {
   EXPECT_DOUBLE_EQ(stats.mean_tokens_per_step, 33.0 / 4.0);
 }
 
+TEST(ServingEngineBatched, PlainEngineCountsDecodeAsSpeculationAtKZero) {
+  // Plain decode is the speculative step with k = 0 (lookahead_k is inert
+  // without a draft model): every decode row is a 1-token verify span with
+  // nothing proposed or accepted. A 3-page pool forces preemption, whose
+  // re-prefill completions count as decode tokens without a verify forward.
+  QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
+  scheme.kv_max_pages = 3;
+  QuantizedModel model(fixture().weights, scheme);
+  EngineConfig cfg;
+  cfg.scheduler.max_batch = 4;
+  cfg.speculative.lookahead_k = 4;
+  ServingEngine engine(&model, cfg);
+  for (int i = 0; i < 3; ++i) engine.submit(std::vector<int>(8, 2 + i), 18);
+  const EngineStats stats = engine.run_to_completion();
+  ASSERT_GE(stats.preemptions, 1);
+  EXPECT_EQ(stats.proposed_tokens, 0);
+  EXPECT_EQ(stats.accepted_tokens, 0);
+  EXPECT_DOUBLE_EQ(stats.acceptance_rate, 0.0);
+  // Every executed row is a prefill-chunk row or a decode row.
+  EXPECT_EQ(stats.verify_forwards, stats.step_tokens - stats.prefill_tokens);
+  EXPECT_GT(stats.speculative_steps, 0);
+  EXPECT_LE(stats.speculative_steps, stats.steps);
+  EXPECT_GT(stats.target_forwards_per_decode_token, 0.0);
+  EXPECT_LE(stats.target_forwards_per_decode_token, 1.0);
+}
+
 }  // namespace
 }  // namespace qserve

@@ -59,7 +59,8 @@ struct RunOutcome {
 
 // draft_weights == nullptr runs the non-speculative baseline.
 RunOutcome run_engine(const Workload& w, const ModelWeights* draft_weights,
-                      int lookahead_k, int64_t kv_max_pages = 1 << 20) {
+                      int lookahead_k, int64_t kv_max_pages = 1 << 20,
+                      bool batched_step = true) {
   QuantSchemeConfig scheme = QuantSchemeConfig::qserve_w4a8kv4_g128();
   scheme.kv_max_pages = kv_max_pages;
   QuantizedModel model(fixture().target, scheme);
@@ -71,6 +72,7 @@ RunOutcome run_engine(const Workload& w, const ModelWeights* draft_weights,
   cfg.scheduler.max_batch = 4;
   cfg.scheduler.prefill_chunk = 8;
   cfg.speculative.lookahead_k = lookahead_k;
+  cfg.batched_step = batched_step;
   ServingEngine engine(&model, draft.get(), cfg);
   std::vector<int> ids;
   for (size_t i = 0; i < w.prompts.size(); ++i)
@@ -204,7 +206,8 @@ TEST(ServingEngineSpec, MatchesBaselineBitwiseAcrossIsasAndThreads) {
   // engine's for every ISA the host can run and at 1 and 8 threads, in both
   // acceptance regimes: a draft identical to the target (every proposal
   // accepted, steps advance k+1 tokens) and a divergent draft (most
-  // proposals rejected, constant rollback).
+  // proposals rejected, constant rollback) — whether each step runs as one
+  // stacked forward or one forward per chunk (batched_step = false).
   Rng rng(4321);
   const Workload w = random_workload(rng, 6);
   for (const cpu::Isa isa :
@@ -213,20 +216,24 @@ TEST(ServingEngineSpec, MatchesBaselineBitwiseAcrossIsasAndThreads) {
     for (const int threads : {1, 8}) {
       set_num_threads(threads);
       const auto baseline = run_engine(w, nullptr, 0);
-      const auto accept_all = run_engine(w, &fixture().same, 3);
-      const auto reject_most = run_engine(w, &fixture().divergent, 2);
-      EXPECT_EQ(baseline.streams, accept_all.streams)
-          << "identical draft, isa=" << cpu::isa_name(isa)
-          << " threads=" << threads;
-      EXPECT_EQ(baseline.streams, reject_most.streams)
-          << "divergent draft, isa=" << cpu::isa_name(isa)
-          << " threads=" << threads;
-      // An identical draft always matches the target's argmax.
-      EXPECT_DOUBLE_EQ(accept_all.stats.acceptance_rate, 1.0);
-      EXPECT_GT(accept_all.stats.proposed_tokens, 0);
-      // Speculation must finish in fewer engine steps when everything is
-      // accepted (k+1 tokens per verify step vs 1).
-      EXPECT_LT(accept_all.stats.steps, baseline.stats.steps);
+      for (const bool batched : {true, false}) {
+        const auto accept_all =
+            run_engine(w, &fixture().same, 3, 1 << 20, batched);
+        const auto reject_most =
+            run_engine(w, &fixture().divergent, 2, 1 << 20, batched);
+        EXPECT_EQ(baseline.streams, accept_all.streams)
+            << "identical draft, isa=" << cpu::isa_name(isa)
+            << " threads=" << threads << " batched=" << batched;
+        EXPECT_EQ(baseline.streams, reject_most.streams)
+            << "divergent draft, isa=" << cpu::isa_name(isa)
+            << " threads=" << threads << " batched=" << batched;
+        // An identical draft always matches the target's argmax.
+        EXPECT_DOUBLE_EQ(accept_all.stats.acceptance_rate, 1.0);
+        EXPECT_GT(accept_all.stats.proposed_tokens, 0);
+        // Speculation must finish in fewer engine steps when everything is
+        // accepted (k+1 tokens per verify step vs 1).
+        EXPECT_LT(accept_all.stats.steps, baseline.stats.steps);
+      }
     }
   }
   set_num_threads(0);
