@@ -172,8 +172,11 @@ BENCHMARK(BM_ScalarDequantReference);
 
 // --- machine-readable regression suite (--json) --------------------------------
 
-// Shapes mirror the two serving regimes: single-token decode and a stacked
-// 64-token prefill. Small enough to finish in seconds on a 1-core CI runner.
+// Shapes mirror the serving regimes: single-token decode, a stacked 64-token
+// prefill, and the served model's batched steps (hidden 512, ffn 1024) at an
+// 8-row decode/verify batch and a 128-row prefill chunk, on both the
+// gate/up-like (n 1024, k 512) and down-like (n 512, k 1024) projections.
+// Small enough to finish in seconds on a 1-core CI runner.
 struct JsonShape {
   int64_t m, n, k;
   const char* tag;
@@ -183,6 +186,10 @@ struct JsonShape {
 constexpr JsonShape kJsonShapes[] = {
     {1, 512, 512, "decode", 30},
     {64, 512, 512, "prefill", 5},
+    {8, 1024, 512, "b8_n1024_k512", 10},
+    {128, 1024, 512, "b128_n1024_k512", 3},
+    {8, 512, 1024, "b8_n512_k1024", 10},
+    {128, 512, 1024, "b128_n512_k1024", 3},
 };
 
 // Bytes a packed W4A8 GEMM touches: INT8 activation codes, 4-bit weight

@@ -15,11 +15,11 @@ namespace qserve {
 
 namespace {
 
-// Input channels per cache block of the (n, k) tiling. An nr x kKcBlock
-// weight sub-panel (8-16 KiB) stays L1-resident while the driver sweeps all
-// m tokens over it, so unpacked weight tiles are read from memory once per
-// call instead of once per token.
-constexpr int64_t kKcBlock = 1024;
+// Input channels per cache block of the (n, k) tiling. A tile's weight
+// block (np panels x nr rows x kKcBlock codes: 32 KiB for the AVX-512 tile)
+// stays L1-resident while the driver sweeps all m tokens over it, so weight
+// tiles are read from memory once per call instead of once per token tile.
+constexpr int64_t kKcBlock = 512;
 
 // Weight-stream size (n*k elements) above which a single-token call should
 // take the plain per-group kernel instead of walking the reordered stream:
@@ -33,73 +33,88 @@ constexpr int64_t kFp16wRowBlock = 64;
 
 // Panels per parallel_for chunk, derived from the panel count and the pool
 // size so small-n decode layers spread over every worker instead of
-// serializing on one chunk (a fixed grain of 8 rows left n <= 8*threads
-// running on a fraction of the pool). Capped at 8 panels per chunk to keep
-// chunks cache-friendly on wide layers.
-int64_t panel_grain(int64_t panels) {
+// serializing on one chunk, capped at 8 panels per chunk to keep chunks
+// cache-friendly on wide layers, and rounded up to whole `np`-panel tiles so
+// a chunk boundary never narrows a tile.
+int64_t panel_grain(int64_t panels, int np) {
   const int64_t threads = std::max(1, num_threads());
-  return clamp<int64_t>(panels / (4 * threads), 1, 8);
+  return round_up(clamp<int64_t>(panels / (4 * threads), 1, 8), int64_t(np));
 }
 
-// Core blocked driver. Calls epilogue(t, r, acc) exactly once per output
-// element with the exact scalar INT32 accumulator; epilogue must be safe to
-// call concurrently for disjoint r.
-template <typename EpilogueFn>
+// Core blocked driver. Runs the tile microkernel over (panel tile, k block,
+// token tile) and calls row_sink(t, r0, cols, acc) once per (token, panel
+// tile) with the exact INT32 accumulators of output channels
+// [r0, r0 + cols). row_sink must be safe to call concurrently for disjoint
+// channel ranges.
+template <typename RowSinkFn>
 void run_blocked(const QuantizedActs& x, const PackedGemmB& w,
-                 const EpilogueFn& epilogue) {
+                 const RowSinkFn& row_sink) {
   QS_CHECK(w.valid());
   QS_CHECK_EQ(x.k(), w.k);
-  const int64_t m = x.m(), kp = w.k_padded;
+  const int64_t m = x.m(), k = w.k, kp = w.k_padded;
   const int nr = w.nr;
+  if (m == 0) return;
 
   // Microkernel lookup: if the active ISA's vector width no longer matches
   // the packed layout (a test flipped QSERVE_ISA after packing), fall back
   // to the scalar kernel, which handles any nr.
   const cpu::Microkernel* mk = &cpu::microkernel_for(cpu::active_isa());
   if (mk->nr != nr) mk = &cpu::microkernel_for(cpu::Isa::kScalar);
-  const bool compensate = mk->bias_compensated && !w.unsigned_codes;
+  const bool biased = mk->biased_acts;
 
-  // Stage activations zero-padded to the k-group multiple (pad codes are
-  // zero and pad weight codes are zero, so pads contribute nothing).
-  const int8_t* xbase = x.q.data();
-  std::vector<int8_t> xpad;
-  if (kp != w.k) {
-    xpad.assign(static_cast<size_t>(m * kp), 0);
-    for (int64_t t = 0; t < m; ++t)
-      std::copy(x.q.row(t), x.q.row(t) + w.k, xpad.data() + t * kp);
-    xbase = xpad.data();
+  // Stage activations padded to the k-group multiple (pad weight codes are
+  // zero, so pads contribute nothing) and, for a biased kernel, flipped to
+  // x ^ 0x80 once here rather than once per k-group in the inner loop.
+  const int8_t* xs = x.q.data();
+  std::vector<int8_t> staged;
+  if (kp != k || biased) {
+    const uint8_t flip = biased ? 0x80 : 0x00;
+    staged.assign(static_cast<size_t>(m * kp), static_cast<int8_t>(flip));
+    for (int64_t t = 0; t < m; ++t) {
+      const int8_t* src = x.q.row(t);
+      int8_t* dst = staged.data() + t * kp;
+      for (int64_t c = 0; c < k; ++c)
+        dst[c] = static_cast<int8_t>(static_cast<uint8_t>(src[c]) ^ flip);
+    }
+    xs = staged.data();
   }
 
-  parallel_for(0, w.panels(), panel_grain(w.panels()), [&](int64_t p0,
-                                                           int64_t p1) {
-    std::vector<int32_t> pacc(static_cast<size_t>(m * nr));
-    for (int64_t p = p0; p < p1; ++p) {
-      std::fill(pacc.begin(), pacc.end(), 0);
-      const int8_t* panel = w.data.data() + p * w.panel_stride();
+  const int64_t width = int64_t(mk->np) * nr;  // accumulator row length
+  parallel_for(0, w.panels(), panel_grain(w.panels(), mk->np),
+               [&](int64_t p0, int64_t p1) {
+    std::vector<int32_t> acc(static_cast<size_t>(m * width));
+    for (int64_t pa = p0; pa < p1; pa += mk->np) {
+      const int pt = static_cast<int>(std::min<int64_t>(mk->np, p1 - pa));
+      const int64_t r0 = pa * nr;
+      const int64_t cols = std::min<int64_t>(int64_t(pt) * nr, w.n - r0);
+      // A biased kernel's accumulators start at -128 * row_sum, which
+      // cancels the +128 activation bias exactly.
+      for (int64_t c = 0; c < width; ++c)
+        acc[static_cast<size_t>(c)] =
+            biased && c < cols ? -128 * w.row_sum[static_cast<size_t>(r0 + c)]
+                               : 0;
+      for (int64_t t = 1; t < m; ++t)
+        std::copy(acc.begin(), acc.begin() + width, acc.begin() + t * width);
       for (int64_t c0 = 0; c0 < kp; c0 += kKcBlock) {
-        const int64_t kc = std::min(kKcBlock, kp - c0);
-        const int8_t* sub = panel + c0 * nr;
-        for (int64_t t = 0; t < m; ++t) {
-          const int8_t* xr = xbase + t * kp + c0;
-          int32_t* acc = pacc.data() + t * nr;
-          if (w.unsigned_codes) {
-            mk->dot_u4(xr, reinterpret_cast<const uint8_t*>(sub), kc, nr, acc);
-          } else {
-            mk->dot_s8(xr, sub, kc, nr, acc);
-          }
+        const int64_t groups = std::min(kKcBlock, kp - c0) / cpu::kKGroup;
+        const int8_t* sub = w.data.data() + pa * w.panel_stride() + c0 * nr;
+        for (int64_t t0 = 0; t0 < m; t0 += mk->mr) {
+          const int mt = static_cast<int>(std::min<int64_t>(mk->mr, m - t0));
+          mk->tile(xs + t0 * kp + c0, kp, sub, w.panel_stride(), groups, mt,
+                   pt, nr, acc.data() + t0 * width, width);
         }
       }
-      const int64_t r_end = std::min<int64_t>(nr, w.n - p * nr);
-      for (int64_t t = 0; t < m; ++t) {
-        for (int64_t ri = 0; ri < r_end; ++ri) {
-          const int64_t r = p * nr + ri;
-          int32_t a = pacc[static_cast<size_t>(t * nr + ri)];
-          if (compensate) a -= 128 * w.row_sum[static_cast<size_t>(r)];
-          epilogue(t, r, a);
-        }
-      }
+      for (int64_t t = 0; t < m; ++t)
+        row_sink(t, r0, cols, acc.data() + t * width);
     }
   });
+}
+
+// The GEMM output rounding: the active ISA's FP16 row epilogue, resolved
+// once per call (every ISA's rounds bitwise alike; see
+// kernels/cpu/microkernel.h).
+cpu::EpilogueRowFn active_epilogue() {
+  return cpu::microkernel_for(cpu::active_isa()).epilogue_row;
 }
 
 int preferred_nr() {
@@ -165,23 +180,24 @@ I32Tensor gemm_i8i8_i32(const I8Tensor& x, const I8Tensor& w) {
 
 Tensor gemm_blocked(const QuantizedActs& x, const PackedGemmB& w) {
   Tensor y({x.m(), w.n});
+  const cpu::EpilogueRowFn epilogue = active_epilogue();
   const bool has_zp = !w.zp_term.empty();
-  run_blocked(x, w, [&](int64_t t, int64_t r, int32_t acc) {
-    // Epilogue: outer-product scaling, FP16 output; the per-channel W4A8
-    // zero-point term -tX * (z*s) is subtracted after multiplication
-    // (Eq. 12/13). Evaluation order matches the scalar kernels exactly.
-    float v = float(acc) * x.s[t] * w.scale[static_cast<size_t>(r)];
-    if (has_zp) v -= x.token_sum[t] * w.zp_term[static_cast<size_t>(r)];
-    y.at2(t, r) = to_half_precision(v);
+  run_blocked(x, w, [&](int64_t t, int64_t r0, int64_t cols,
+                        const int32_t* acc) {
+    epilogue(acc, cols, x.s[t], w.scale.data() + r0,
+             has_zp ? x.token_sum[t] : 0.0f,
+             has_zp ? w.zp_term.data() + r0 : nullptr, y.row(t) + r0);
   });
   return y;
 }
 
 I32Tensor gemm_blocked_acc(const QuantizedActs& x, const PackedGemmB& w) {
-  I32Tensor acc({x.m(), w.n});
-  run_blocked(x, w,
-              [&](int64_t t, int64_t r, int32_t a) { acc.at2(t, r) = a; });
-  return acc;
+  I32Tensor out({x.m(), w.n});
+  run_blocked(x, w, [&](int64_t t, int64_t r0, int64_t cols,
+                        const int32_t* acc) {
+    std::copy(acc, acc + cols, out.row(t) + r0);
+  });
+  return out;
 }
 
 Tensor gemm_blocked_epilogue(const I32Tensor& acc, const QuantizedActs& x,
@@ -193,14 +209,12 @@ Tensor gemm_blocked_epilogue(const I32Tensor& acc, const QuantizedActs& x,
   const bool has_zp = !zp_term.empty();
   if (has_zp) QS_CHECK_EQ(n, static_cast<int64_t>(zp_term.size()));
   Tensor y({m, n});
+  const cpu::EpilogueRowFn epilogue = active_epilogue();
   parallel_for(0, m, 1, [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      for (int64_t r = 0; r < n; ++r) {
-        float v = float(acc.at2(t, r)) * x.s[t] * scale[static_cast<size_t>(r)];
-        if (has_zp) v -= x.token_sum[t] * zp_term[static_cast<size_t>(r)];
-        y.at2(t, r) = to_half_precision(v);
-      }
-    }
+    for (int64_t t = t0; t < t1; ++t)
+      epilogue(acc.row(t), n, x.s[t], scale.data(),
+               has_zp ? x.token_sum[t] : 0.0f,
+               has_zp ? zp_term.data() : nullptr, y.row(t));
   });
   return y;
 }

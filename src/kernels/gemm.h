@@ -22,9 +22,10 @@
 // gemm_fp16w, which returns raw FP32 dots.
 //
 // The three INT8-path kernels (w8a8, w4a8 per-channel, w4a8 per-group) run on
-// runtime-dispatched SIMD microkernels (kernels/cpu/) over a cache-blocked,
-// pre-packed weight layout; QSERVE_ISA selects scalar/avx2/avx512 at runtime
-// and every path is bitwise identical.
+// runtime-dispatched, register-blocked SIMD tile microkernels and a SIMD FP16
+// epilogue (kernels/cpu/) over a cache-blocked, pre-packed weight layout;
+// QSERVE_ISA selects scalar/avx2/avx512 at runtime and every path is bitwise
+// identical.
 #pragma once
 
 #include "kernels/weight_layout.h"
@@ -69,12 +70,29 @@ Tensor gemm_w4a8_per_group(const QuantizedActs& x, const W4PerGroup& w);
 // gemm_blocked directly — packing also pre-dequantizes per-group weights to
 // their level-1 INT8 codes, so the per-call re-dequantization disappears.
 //
-// The driver tiles over (n, k): output channels in panels of `w.nr` rows,
-// input channels in blocks sized to keep a weight sub-panel L1-resident, and
-// iterates tokens innermost so each unpacked weight tile is reused across
-// all m tokens of the call. Results are bitwise identical for every ISA and
-// any thread count: the INT32 accumulators are exact integer sums and the
-// FP16 epilogue is evaluated in the same order as the scalar kernels.
+// The driver stages the activations once per call (k-group padded; biased
+// to x ^ 0x80 for the AVX-512 VNNI tile), splits the output channels into
+// chunks of whole panel tiles across the pool, and inside a chunk runs the
+// register-blocked tile microkernel (kernels/cpu/microkernel.h): for each
+// tile of up to `np` panels and each cache block of k, it sweeps all m
+// tokens over the resident weight block in tiles of up to `mr` tokens, each
+// call keeping an mr x (np * nr) accumulator block in registers. Every
+// finished (token, panel tile) row then goes through the ISA's FP16 row
+// epilogue.
+//
+// Epilogue contract (the one definition of GEMM output rounding, shared with
+// gemm_blocked_epilogue):
+//
+//   y[t, r] = half((float(acc) * x.s[t]) * scale[r]
+//                  - x.token_sum[t] * zp_term[r])
+//
+// with every multiply and the subtract rounded separately — multiply, then
+// subtract, never a fused multiply-add (the kernel TUs and this file are
+// built with -ffp-contract=off, so the rounding does not depend on the build
+// type or -march). The zero-point term exists only for per-channel W4A8.
+// Results are bitwise identical for every ISA, any thread count and any m:
+// the INT32 accumulators are exact integer sums, and every ISA's epilogue
+// rounds exactly like the scalar one (NaN payloads aside).
 Tensor gemm_blocked(const QuantizedActs& x, const PackedGemmB& w);
 
 // The raw INT32 accumulators acc[t, r] = sum_c x.q[t, c] * code(r, c) before
@@ -84,13 +102,14 @@ Tensor gemm_blocked(const QuantizedActs& x, const PackedGemmB& w);
 // partials exactly (integer sums are order-independent).
 I32Tensor gemm_blocked_acc(const QuantizedActs& x, const PackedGemmB& w);
 
-// gemm_blocked's exact epilogue applied to externally-reduced accumulators
-// (the tensor-parallel all-reduce of per-shard partials). `scale`/`zp_term`
-// are the full-row epilogue constants — identical in every k-slice pack,
-// since they are per-output-row — and `x` supplies the full-row per-token
-// scale and token sum (zp_term empty = no zero-point term). Bitwise
-// identical to gemm_blocked on the unsliced pack: the INT32 accumulator sum
-// is exact and the float expression is evaluated in the same order.
+// gemm_blocked's epilogue applied to externally-reduced accumulators (the
+// tensor-parallel all-reduce of per-shard partials): the same ISA row
+// epilogue gemm_blocked calls. `scale`/`zp_term` are the full-row epilogue
+// constants — identical in every k-slice pack, since they are per-output-row
+// — and `x` supplies the full-row per-token scale and token sum (zp_term
+// empty = no zero-point term). Bitwise identical to gemm_blocked on the
+// unsliced pack: the INT32 accumulator sum is exact and the row epilogue is
+// the same function.
 Tensor gemm_blocked_epilogue(const I32Tensor& acc, const QuantizedActs& x,
                              const std::vector<float>& scale,
                              const std::vector<float>& zp_term);

@@ -94,14 +94,13 @@ namespace {
 // nothing to dot products or row sums).
 template <typename CodeAtFn>
 PackedGemmB pack_panels(int64_t n, int64_t k, int64_t row0, int64_t col0,
-                        int nr, bool unsigned_codes, const CodeAtFn& code_at) {
+                        int nr, const CodeAtFn& code_at) {
   QS_CHECK(nr > 0);
   PackedGemmB b;
   b.n = n;
   b.k = k;
   b.k_padded = round_up(k, cpu::kKGroup);
   b.nr = nr;
-  b.unsigned_codes = unsigned_codes;
   b.data.assign(static_cast<size_t>(b.panels() * b.panel_stride()), 0);
   b.row_sum.assign(static_cast<size_t>(n), 0);
   // Panels write disjoint data/row_sum slices, so packing fans out over the
@@ -143,7 +142,6 @@ PackedGemmB pack_gemm_b_slice(const W8PerChannel& w, int nr,
   const PackSlice s = checked_slice(sl, w.n(), w.k());
   PackedGemmB b = pack_panels(
       s.row1 - s.row0, s.col1 - s.col0, s.row0, s.col0, nr,
-      /*unsigned_codes=*/false,
       [&](int64_t r, int64_t c) { return int(w.qw.at2(r, c)); });
   b.scale.assign(static_cast<size_t>(b.n), 0.0f);
   for (int64_t r = 0; r < b.n; ++r)
@@ -158,7 +156,6 @@ PackedGemmB pack_gemm_b_slice(const W4PerChannel& w, int nr,
   const PackSlice s = checked_slice(sl, w.n(), w.k());
   PackedGemmB b = pack_panels(
       s.row1 - s.row0, s.col1 - s.col0, s.row0, s.col0, nr,
-      /*unsigned_codes=*/true,
       [&](int64_t r, int64_t c) { return int(get_u4(w.qw, r, c)); });
   b.scale.assign(static_cast<size_t>(b.n), 0.0f);
   b.zp_term.assign(static_cast<size_t>(b.n), 0.0f);
@@ -181,7 +178,6 @@ PackedGemmB pack_gemm_b_slice(const W4PerGroup& w, int nr,
   const PackSlice s = checked_slice(sl, w.n(), w.k());
   PackedGemmB b = pack_panels(
       s.row1 - s.row0, s.col1 - s.col0, s.row0, s.col0, nr,
-      /*unsigned_codes=*/false,
       [&](int64_t r, int64_t c) {
         const int64_t g = c / w.group;
         const int code = (int(get_u4(w.qw, r, c)) - int(w.z.at2(r, g))) *

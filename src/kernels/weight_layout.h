@@ -92,12 +92,14 @@ ReorderedGroupMeta reorder_group_meta(const W4PerGroup& w);
 //    ((q - z) * s1, two's-complement wrap, exactly the scalar kernel's
 //    arithmetic) — eliminating the per-call re-dequantization of weight rows
 //    the plain kernel pays on every token batch;
-//  * precomputes per-row code sums (`row_sum`) so the AVX-512 VNNI kernel's
-//    biased-activation trick can be compensated exactly in the epilogue;
+//  * precomputes per-row code sums (`row_sum`) so the AVX-512 VNNI tile's
+//    biased activations can be compensated exactly (its accumulators start
+//    at -128 * row_sum);
 //  * carries the per-row epilogue constants (scale, and z*s for the
 //    per-channel scheme) so the driver needs no access to the source struct.
 struct PackedGemmB {
-  std::vector<int8_t> data;      // interleaved codes (u4 codes stored 0..15)
+  std::vector<int8_t> data;      // interleaved codes (u4 codes stored 0..15,
+                                 // so every code kind is a signed byte)
   std::vector<int32_t> row_sum;  // [n] sum of codes per row (bias compensation)
   std::vector<float> scale;      // [n] per-row epilogue scale (s / s0)
   std::vector<float> zp_term;    // [n] per-row z*s; empty unless per-channel W4
@@ -105,7 +107,6 @@ struct PackedGemmB {
   int64_t k = 0;
   int64_t k_padded = 0;  // k rounded up to a k-group multiple
   int nr = 8;            // rows per panel (microkernel vector width)
-  bool unsigned_codes = false;  // true: UINT4 codes, use the dot_u4 kernel
 
   bool valid() const { return n > 0; }
   int64_t panels() const { return ceil_div(n, nr); }

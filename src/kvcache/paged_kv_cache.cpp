@@ -504,32 +504,37 @@ void PagedKvCache::append_write_heads(int seq, int64_t pos0, const float* k,
   QS_CHECK(head0 >= 0 && head0 <= head1 && head1 <= cfg_.n_kv_heads);
   QS_CHECK_GE(pos0, 0);
   if (n <= 0 || head0 == head1) return;
-  // One short locked pass resolves the (page, slot) destinations — the
-  // reserve already made every page private — then the quantize writes run
-  // unlocked, concurrently with other shards filling other head ranges of
-  // the same slots.
+  // Short locked passes resolve the (page, slot) destinations of up to
+  // kDestBatch tokens into a stack buffer — the reserve already made every
+  // page private — then the quantize writes run unlocked, concurrently with
+  // other shards filling other head ranges of the same slots. A decode row
+  // (n == 1) costs one lock round and no heap traffic.
+  constexpr int64_t kDestBatch = 32;
   struct Dest {
     Page* page;
     int64_t slot;
   };
-  std::vector<Dest> dests(static_cast<size_t>(n));
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    QS_CHECK(is_live_locked(seq));
-    auto& s = seqs_[static_cast<size_t>(seq)];
-    QS_CHECK_LE(pos0 + n, s.length);
-    for (int64_t t = 0; t < n; ++t) {
-      const int64_t tok = pos0 + t;
-      Page& p = pages_[static_cast<size_t>(s.page_table[static_cast<size_t>(
-          page_slot(s, tok / cfg_.page_size))])];
-      QS_DCHECK(p.refcount == 1);  // reserve left the range privately owned
-      dests[static_cast<size_t>(t)] = {&p, tok % cfg_.page_size};
+  Dest dests[kDestBatch];
+  for (int64_t t0 = 0; t0 < n; t0 += kDestBatch) {
+    const int64_t nb = std::min(kDestBatch, n - t0);
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      QS_CHECK(is_live_locked(seq));
+      auto& s = seqs_[static_cast<size_t>(seq)];
+      QS_CHECK_LE(pos0 + n, s.length);
+      for (int64_t t = 0; t < nb; ++t) {
+        const int64_t tok = pos0 + t0 + t;
+        Page& p = pages_[static_cast<size_t>(s.page_table[static_cast<size_t>(
+            page_slot(s, tok / cfg_.page_size))])];
+        QS_DCHECK(p.refcount == 1);  // reserve left the range privately owned
+        dests[t] = {&p, tok % cfg_.page_size};
+      }
     }
-  }
-  for (int64_t t = 0; t < n; ++t) {
-    const Dest& d = dests[static_cast<size_t>(t)];
-    write_token_heads(*d.page, d.slot, k + t * row_stride, v + t * row_stride,
-                      head0, head1);
+    for (int64_t t = 0; t < nb; ++t) {
+      const int64_t row = t0 + t;
+      write_token_heads(*dests[t].page, dests[t].slot, k + row * row_stride,
+                        v + row * row_stride, head0, head1);
+    }
   }
 }
 

@@ -96,6 +96,32 @@ TEST(GemmW4A8PerChannel, EpilogueFusionMatchesInLoopSubtraction) {
   }
 }
 
+TEST(GemmW4A8PerChannel, EpilogueIsMultiplyThenSubtractWithoutFma) {
+  // The documented epilogue contract (gemm.h): v = float(acc) * s * scale,
+  // then v - tsum * zp_term with the product rounded on its own. Activations
+  // with a large common offset make the zero-point term nearly cancel the
+  // main term, so a fused multiply-add (exact product) would move many
+  // outputs; the volatile operands keep this TU from contracting the
+  // reference either.
+  Tensor x = random_tensor(16, 200, 11, 0.05f);
+  for (int64_t i = 0; i < x.numel(); ++i) x[i] += 2.0f;
+  const Tensor w = random_tensor(96, 200, 12);
+  const auto qx = quantize_acts_per_token(x);
+  const auto qw = quantize_w4_per_channel(w);
+  const Tensor y = gemm_w4a8_per_channel(qx, qw);
+  for (int64_t t = 0; t < y.rows(); ++t) {
+    for (int64_t r = 0; r < y.cols(); ++r) {
+      int32_t acc = 0;
+      for (int64_t c = 0; c < qx.k(); ++c)
+        acc += int32_t(qx.q.at2(t, c)) * int32_t(get_u4(qw.qw, r, c));
+      volatile float v = float(acc) * qx.s[t] * qw.s[r];
+      volatile float zp_product = qx.token_sum[t] * qw.szw[r];
+      const float want = to_half_precision(v - zp_product);
+      ASSERT_EQ(y.at2(t, r), want) << "t=" << t << " r=" << r;
+    }
+  }
+}
+
 TEST(GemmW4A8PerChannel, CloseToFp32Reference) {
   const Tensor x = random_tensor(4, 128, 7);
   const Tensor w = random_tensor(16, 128, 8, 0.2f);

@@ -3,12 +3,16 @@
 // and FP16 outputs for every quant scheme, across m in {1, 7, 64}, odd n/k,
 // mixed activation magnitudes (including rows whose codes clamp to -128),
 // and both protective-range and naive-range (deliberate INT8 overflow)
-// per-group weights. Also covers the QSERVE_ISA override plumbing and the
-// streamed kernel's single-token bypass.
+// per-group weights; every token-tile and panel-tile remainder at 1 and 8
+// threads; and the FP16 row epilogue against software rounding. Also covers
+// the QSERVE_ISA override plumbing and the streamed kernel's single-token
+// bypass.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -285,6 +289,206 @@ TEST(GemmIsaEquivalence, MismatchedPackWidthFallsBackCorrectly) {
   }
 }
 
+// A 1-row activation batch holding row t of `x`.
+QuantizedActs act_row(const QuantizedActs& x, int64_t t) {
+  QuantizedActs row;
+  row.q = I8Tensor({1, x.k()});
+  std::copy(x.q.row(t), x.q.row(t) + x.k(), row.q.data());
+  row.s = Tensor({1});
+  row.s[0] = x.s[t];
+  row.token_sum = Tensor({1});
+  row.token_sum[0] = x.token_sum[t];
+  return row;
+}
+
+// Under every ISA at 1 and 8 threads: gemm_blocked equals the scalar
+// kernel's output bitwise; the accumulators plus gemm_blocked_epilogue (the
+// tensor-parallel all-reduce path) equal gemm_blocked; and row t of the
+// m-row call equals the 1-row call on that row. Returns how many packed
+// codes are -128 (the naive-range wrap) so callers can assert coverage.
+template <typename Weights>
+int64_t check_tile_edges(const QuantizedActs& qx, const Weights& qw) {
+  Tensor ref;
+  {
+    IsaGuard guard(Isa::kScalar);
+    set_num_threads(1);
+    ref = gemm_blocked(
+        qx, pack_gemm_b(qw, cpu::microkernel_for(Isa::kScalar).nr));
+  }
+  int64_t wrapped_codes = 0;
+  for (Isa isa : supported_isas()) {
+    IsaGuard guard(isa);
+    const PackedGemmB packed = pack_gemm_b(qw, cpu::microkernel_for(isa).nr);
+    wrapped_codes +=
+        std::count(packed.data.begin(), packed.data.end(), int8_t(-128));
+    for (int threads : {1, 8}) {
+      set_num_threads(threads);
+      SCOPED_TRACE(std::string(cpu::isa_name(isa)) +
+                   " threads=" + std::to_string(threads));
+      const Tensor y = gemm_blocked(qx, packed);
+      expect_bitwise_equal(ref, y, "tile vs scalar");
+      expect_bitwise_equal(
+          y,
+          gemm_blocked_epilogue(gemm_blocked_acc(qx, packed), qx,
+                                packed.scale, packed.zp_term),
+          "acc + epilogue vs gemm_blocked");
+      for (int64_t t = 0; t < qx.m(); ++t) {
+        const Tensor yt = gemm_blocked(act_row(qx, t), packed);
+        EXPECT_EQ(0, std::memcmp(y.row(t), yt.data(),
+                                 sizeof(float) * static_cast<size_t>(y.cols())))
+            << "row " << t << " of the m-row call differs from 1-row";
+      }
+    }
+  }
+  set_num_threads(0);
+  return wrapped_codes;
+}
+
+TEST(GemmIsaEquivalence, TileEdgesEverySchemeIsaAndThreadCount) {
+  // m crosses every token-tile remainder (mr = 4 on every ISA) up to a
+  // 128-row prefill; n crosses every panel-tile remainder: 17 is one full
+  // AVX-512 panel plus one row, 48 three panels (a 3-panel tile), 80 a full
+  // 4-panel tile plus one, 1000 a partial last panel. k = 99 is odd, so
+  // every staged activation row carries pad bytes (0x80 on the biased VNNI
+  // path) against zero pad codes.
+  const int64_t k = 99;
+  const int group = 33;
+  uint64_t seed = 1000;
+  int64_t naive_wrapped_codes = 0;
+  for (const int64_t m : {1, 2, 3, 4, 5, 8, 9, 128}) {
+    for (const int64_t n : {17, 48, 80, 1000}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n));
+      const auto qx = quantize_acts_per_token(random_acts(m, k, seed++));
+      const Tensor w = random_weights(n, k, seed++);
+      {
+        SCOPED_TRACE("w8a8");
+        check_tile_edges(qx, quantize_w8_per_channel(w));
+      }
+      {
+        SCOPED_TRACE("w4a8_per_channel");
+        check_tile_edges(qx, quantize_w4_per_channel(w));
+      }
+      {
+        SCOPED_TRACE("w4a8_per_group");
+        check_tile_edges(qx, quantize_progressive(w, {.group = group}));
+      }
+      {
+        SCOPED_TRACE("w4a8_per_group_naive");
+        naive_wrapped_codes += check_tile_edges(
+            qx, quantize_progressive(w, {.group = group, .level1_range = 127}));
+      }
+    }
+  }
+  // The naive range must actually have produced wrapped -128 codes.
+  EXPECT_GT(naive_wrapped_codes, 0);
+}
+
+// --- the FP16 row epilogue ---------------------------------------------------
+
+// Every ISA's epilogue row must round through FP16 exactly like
+// to_half_precision(). NaN payloads are the only permitted difference: F16C
+// keeps the top payload bits, to_half_precision() emits one canonical quiet
+// NaN, so a NaN is checked by class only. With acc = 1, s = 1 and no zero
+// point, v = scale[r] exactly, so each scale entry probes one float.
+TEST(GemmEpilogue, SimdFp16RoundTripMatchesSoftwareRounding) {
+  using detail::bit_cast;
+  std::vector<float> probes;
+  const uint32_t specials[] = {
+      0x00000000u, 0x80000000u,  // +-0
+      0x7F800000u, 0xFF800000u,  // +-inf
+      0x33000000u, 0x33000001u,  // 2^-25: tie between 0 and the min subnormal
+      0x337FFFFFu, 0x33800000u,  // around the min half subnormal 2^-24
+      0x387FC000u, 0x38800000u,  // max half subnormal / min half normal
+      0x00000001u, 0x007FFFFFu,  // float subnormals (underflow to +-0)
+  };
+  for (uint32_t b : specials) probes.push_back(bit_cast<float>(b));
+  for (float f : {65504.0f, 65519.996f, 65520.0f, 65536.0f, 1e6f, 3.4e38f})
+    probes.push_back(f);
+  // Every tie between adjacent finite halves (normal and subnormal), and one
+  // float ulp either side of it, with both signs.
+  for (uint16_t h = 0; h < 0x7BFF; ++h) {
+    const float a = detail::half_bits_to_float(h);
+    const float b = detail::half_bits_to_float(static_cast<uint16_t>(h + 1));
+    const float mid = (a + b) * 0.5f;  // exact: 12 significant bits
+    for (float f : {mid, std::nextafter(mid, 0.0f),
+                    std::nextafter(mid, 70000.0f)}) {
+      probes.push_back(f);
+      probes.push_back(-f);
+    }
+  }
+  // Random finite floats: half over every bit pattern, half concentrated in
+  // and around the binary16 range.
+  Rng rng(77);
+  std::mt19937 bits(78);
+  for (int i = 0; i < (1 << 19); ++i) {
+    uint32_t b = bits();
+    if ((b & 0x7F800000u) == 0x7F800000u) b ^= 0x40000000u;  // keep finite
+    probes.push_back(bit_cast<float>(b));
+  }
+  for (int i = 0; i < (1 << 19) + 13; ++i) {  // odd total: masked tail
+    const float mant = rng.uniform(1.0f, 2.0f);
+    const int exp = static_cast<int>(bits() % 48) - 30;  // 2^-30 .. 2^17
+    probes.push_back((bits() & 1 ? -1.0f : 1.0f) * std::ldexp(mant, exp));
+  }
+  probes.push_back(std::numeric_limits<float>::quiet_NaN());
+
+  const int64_t n = static_cast<int64_t>(probes.size());
+  ASSERT_GE(n, 1000000);
+  const std::vector<int32_t> ones(probes.size(), 1);
+  for (Isa isa : supported_isas()) {
+    SCOPED_TRACE(cpu::isa_name(isa));
+    std::vector<float> y(probes.size());
+    cpu::microkernel_for(isa).epilogue_row(ones.data(), n, 1.0f, probes.data(),
+                                           0.0f, nullptr, y.data());
+    int64_t mismatches = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      const float want = to_half_precision(probes[size_t(i)]);
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(y[size_t(i)])) << i;
+        continue;
+      }
+      if (bit_cast<uint32_t>(want) != bit_cast<uint32_t>(y[size_t(i)])) {
+        if (++mismatches <= 5)
+          ADD_FAILURE() << "probe " << std::hexfloat << probes[size_t(i)]
+                        << ": got " << y[size_t(i)] << ", want " << want;
+      }
+    }
+    EXPECT_EQ(0, mismatches);
+  }
+}
+
+TEST(GemmEpilogue, ZeroPointRowMatchesScalarOnEveryIsa) {
+  // The full row expression, zero-point term included: every ISA equals the
+  // scalar row bitwise at every row length (masked tails included). The
+  // zero-point term is drawn to nearly cancel the main term, as it does for
+  // real per-channel W4A8 rows, so a fused multiply-add on either side would
+  // show.
+  Rng rng(79);
+  const float s = 0.0123f, tsum = 37.5f;
+  for (const int64_t n : {1, 7, 8, 15, 16, 17, 100, 1000}) {
+    const size_t len = static_cast<size_t>(n);
+    std::vector<int32_t> acc(len);
+    std::vector<float> scale(len), zp(len);
+    for (size_t r = 0; r < len; ++r) {
+      acc[r] = static_cast<int32_t>(rng.uniform(-2e6f, 2e6f));
+      scale[r] = rng.uniform(1e-4f, 1e-2f);
+      zp[r] = float(acc[r]) * s * scale[r] / tsum *
+              (1.0f + rng.uniform(-1e-3f, 1e-3f));
+    }
+    std::vector<float> want(len);
+    cpu::microkernel_for(Isa::kScalar)
+        .epilogue_row(acc.data(), n, s, scale.data(), tsum, zp.data(),
+                      want.data());
+    for (Isa isa : supported_isas()) {
+      std::vector<float> got(len);
+      cpu::microkernel_for(isa).epilogue_row(acc.data(), n, s, scale.data(),
+                                             tsum, zp.data(), got.data());
+      EXPECT_EQ(0, std::memcmp(want.data(), got.data(), sizeof(float) * len))
+          << cpu::isa_name(isa) << " n=" << n;
+    }
+  }
+}
+
 TEST(GemmIsaEquivalence, StreamedM1BypassMatchesStreamWalk) {
   // Above the bypass threshold the streamed kernel reroutes m == 1 calls to
   // the plain (blocked) kernel; below it, it walks the stream. Both paths
@@ -350,12 +554,14 @@ TEST(IsaDispatch, MicrokernelTableIsConsistent) {
     const cpu::Microkernel& mk = cpu::microkernel_for(isa);
     EXPECT_EQ(isa, mk.isa) << cpu::isa_name(isa);
     EXPECT_GT(mk.nr, 0);
-    EXPECT_NE(nullptr, mk.dot_s8);
-    EXPECT_NE(nullptr, mk.dot_u4);
+    EXPECT_GT(mk.mr, 0);
+    EXPECT_GT(mk.np, 0);
+    EXPECT_NE(nullptr, mk.tile);
+    EXPECT_NE(nullptr, mk.epilogue_row);
   }
   // Unsupported ISAs resolve to a usable kernel rather than nullptr.
   const cpu::Microkernel& fallback = cpu::microkernel_for(Isa::kAvx512);
-  EXPECT_NE(nullptr, fallback.dot_s8);
+  EXPECT_NE(nullptr, fallback.tile);
 }
 
 }  // namespace
