@@ -1,9 +1,15 @@
-// Decode-attention microbenchmark over the quantized paged KV cache: one
-// fused_decode_attention call (all heads, whole context) per measurement, at
-// context 128 / 1k / 4k for INT4 and INT8 KV, on the scalar baseline and the
-// best ISA the host supports. Reports per-call latency, decode tok/s
-// (1 / latency — one call serves one token of one sequence), and the
-// effective GB/s of quantized KV traffic the kernels sustain.
+// Paged-attention microbenchmark over the quantized paged KV cache, on the
+// scalar baseline and the best ISA the host supports. Each time is the
+// median of repeated calls.
+//
+//   attn_decode_kv{4,8}/ctx{128,1024,4096}: one fused_decode_attention call
+//     (8 query / 8 KV heads of 64, whole context) — per-call latency, decode
+//     tok/s (1 / latency: one call serves one token of one sequence) and the
+//     effective GB/s of quantized KV traffic.
+//   attn_span/k5_ctx1024, attn_span/n40_ctx1024: one paged_attention call
+//     over a 5-row (speculative verify) and a 40-row (shared-prefix suffix)
+//     span whose last row sits at context 1024, INT4 KV, 8 query / 4 KV
+//     heads — the served shape. Rows/s in the gops slot.
 //
 //   ./bench_attention [--json out.json]
 //
@@ -33,13 +39,14 @@ struct Setup {
   int seq = -1;
   std::vector<float> q, out;
 
-  Setup(KvPrecision p, int ctx, uint64_t seed) {
-    ccfg.n_kv_heads = 8;
+  Setup(KvPrecision p, int ctx, uint64_t seed, int n_kv_heads = 8,
+        int q_rows = 1) {
+    ccfg.n_kv_heads = n_kv_heads;
     ccfg.head_dim = 64;
     ccfg.page_size = 16;
     ccfg.precision = p;
     ccfg.max_pages = 1 << 16;
-    acfg = {8, 8, 64, /*fp16_accum=*/true};
+    acfg = {8, n_kv_heads, 64, /*fp16_accum=*/true};
     cache = std::make_unique<PagedKvCache>(ccfg);
     seq = cache->alloc_sequence();
     Rng rng(seed);
@@ -51,7 +58,8 @@ struct Setup {
       k[0] = 9.0f;
       cache->append(seq, k.data(), v.data());
     }
-    const size_t hd = static_cast<size_t>(acfg.n_heads) * acfg.head_dim;
+    const size_t hd = static_cast<size_t>(q_rows) * acfg.n_heads *
+                      acfg.head_dim;
     q.resize(hd);
     out.resize(hd);
     for (auto& x : q) x = rng.normal();
@@ -64,7 +72,7 @@ struct Setup {
     const int bits = static_cast<int>(ccfg.precision);
     int64_t b = 2 * int64_t(ctx) * span * bits / 8;      // K + V codes
     b += 2 * int64_t(ctx) * ccfg.n_kv_heads * 4;         // K + V params
-    b += 2 * int64_t(acfg.n_heads) * acfg.head_dim * 4;  // q + out
+    b += 2 * static_cast<int64_t>(q.size()) * 4;        // q + out
     return b;
   }
 };
@@ -99,7 +107,7 @@ int main(int argc, char** argv) {
       double scalar_secs = 0.0;
       for (const Isa isa : isas) {
         cpu::set_isa(isa);
-        const double secs = benchutil::time_best_of(
+        const double secs = benchutil::time_median_of(
             [&] {
               fused_decode_attention(*s.cache, s.seq, s.q.data(), s.acfg,
                                      s.out.data());
@@ -129,6 +137,43 @@ int main(int argc, char** argv) {
                             ? "1.00x"
                             : fmt(scalar_secs / secs, 2) + "x"});
       }
+    }
+  }
+
+  // Spans: the rows a verify step or a prefix-cached suffix prefill attends
+  // with, their last row at context 1024.
+  benchutil::header("span attention: paged executor, 8q/4kv, INT4 KV");
+  benchutil::row({"config", "isa", "latency", "rows/s", "GB/s", "speedup"});
+  for (const auto& [tag, rows_n] :
+       {std::pair<const char*, int>{"attn_span/k5_ctx1024", 5},
+        std::pair<const char*, int>{"attn_span/n40_ctx1024", 40}}) {
+    const int ctx = 1024;
+    Setup s(KvPrecision::kInt4, ctx, 7 + rows_n, /*n_kv_heads=*/4, rows_n);
+    const int64_t ld = int64_t(s.acfg.n_heads) * s.acfg.head_dim;
+    const std::vector<SpanAttentionItem> items{
+        {s.seq, rows_n, s.q.data(), s.out.data(), ld}};
+    double scalar_secs = 0.0;
+    for (const Isa isa : isas) {
+      cpu::set_isa(isa);
+      const double secs = benchutil::time_median_of(
+          [&] { paged_attention(*s.cache, items, s.acfg, 0, s.acfg.n_heads); },
+          rows_n <= 5 ? 100 : 30);
+      cpu::clear_isa_override();
+      if (isa == Isa::kScalar) scalar_secs = secs;
+      benchutil::GemmBenchRecord r;
+      r.name = tag;
+      r.isa = cpu::isa_name(isa);
+      r.m = rows_n;
+      r.n = s.acfg.n_heads;
+      r.k = ctx;
+      r.seconds = secs;
+      r.gops = secs > 0 ? double(rows_n) / secs : 0.0;
+      r.gbps = secs > 0 ? double(s.bytes_touched(ctx)) / secs / 1e9 : 0.0;
+      rows.push_back(r);
+      benchutil::row({tag, r.isa, benchutil::fmt_ms(secs, 3), fmt(r.gops, 0),
+                      fmt(r.gbps, 2),
+                      isa == Isa::kScalar ? "1.00x"
+                                          : fmt(scalar_secs / secs, 2) + "x"});
     }
   }
 

@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
         const int reps = ctx <= 4096 ? 30 : 10;
         for (const Isa isa : isas) {
           cpu::set_isa(isa);
-          const double secs = benchutil::time_best_of(
+          const double secs = benchutil::time_median_of(
               [&] {
                 fused_decode_attention(*s.cache, s.seq, s.q.data(), s.acfg,
                                        s.out.data());

@@ -4,6 +4,7 @@
 // against bench/baseline.json).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -59,6 +60,23 @@ double time_best_of(const Fn& fn, int reps) {
     if (dt < best) best = dt;
   }
   return best;
+}
+
+// Median-of-`reps` wall time of fn() after one untimed warmup call. Rows
+// whose best-of time swings with where the host schedules one lucky rep
+// (the short attention calls) report this instead.
+template <typename Fn>
+double time_median_of(const Fn& fn, int reps) {
+  using clock = std::chrono::steady_clock;
+  fn();
+  std::vector<double> dts(static_cast<size_t>(reps));
+  for (double& dt : dts) {
+    const auto t0 = clock::now();
+    fn();
+    dt = std::chrono::duration<double>(clock::now() - t0).count();
+  }
+  std::nth_element(dts.begin(), dts.begin() + reps / 2, dts.end());
+  return dts[static_cast<size_t>(reps / 2)];
 }
 
 inline GemmBenchRecord make_record(const std::string& name,

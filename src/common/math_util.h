@@ -57,17 +57,32 @@ inline T pairwise_tree_sum(const T* v, int64_t n) {
                         pairwise_tree_sum(v + half, n - half));
 }
 
-// Numerically stable softmax over a contiguous row, in place.
-inline void softmax_inplace(float* x, int n) {
-  float m = x[0];
-  for (int i = 1; i < n; ++i) m = std::max(m, x[i]);
+// Numerically stable softmax over the concatenated row a[0..na) ++
+// b[0..nb), in place: the max, the serial exp-sum and the scaling visit the
+// elements in concatenated order, so the result is bitwise softmax_inplace
+// over one contiguous copy of the row. A sliding-window attention row (sink
+// scores, then its trailing window) uses this without compacting the two.
+inline void softmax_inplace2(float* a, int na, float* b, int nb) {
+  float m = na > 0 ? a[0] : b[0];
+  for (int i = 1; i < na; ++i) m = std::max(m, a[i]);
+  for (int i = na > 0 ? 0 : 1; i < nb; ++i) m = std::max(m, b[i]);
   float sum = 0.0f;
-  for (int i = 0; i < n; ++i) {
-    x[i] = std::exp(x[i] - m);
-    sum += x[i];
+  for (int i = 0; i < na; ++i) {
+    a[i] = std::exp(a[i] - m);
+    sum += a[i];
+  }
+  for (int i = 0; i < nb; ++i) {
+    b[i] = std::exp(b[i] - m);
+    sum += b[i];
   }
   const float inv = 1.0f / sum;
-  for (int i = 0; i < n; ++i) x[i] *= inv;
+  for (int i = 0; i < na; ++i) a[i] *= inv;
+  for (int i = 0; i < nb; ++i) b[i] *= inv;
+}
+
+// Numerically stable softmax over a contiguous row, in place.
+inline void softmax_inplace(float* x, int n) {
+  softmax_inplace2(x, n, nullptr, 0);
 }
 
 }  // namespace qserve

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/half.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
 #include "kernels/cpu/attention_kernel.h"
@@ -34,63 +33,212 @@ void AttentionConfig::validate(bool int4_kv) const {
 
 namespace {
 
-// Float K/V rows viewed as a single kF32 "run" for the shared attention
-// microkernels — the gather/prefill path goes through the exact same QK/SV
-// code as the fused paged path, which is what keeps the two bitwise equal
-// (tests/test_fused_attention.cpp pins this).
-cpu::KvHeadRun f32_run(const Tensor& m, int64_t row0, int64_t kv_head,
-                       int head_dim, int64_t n_tokens) {
-  cpu::KvHeadRun run;
-  run.kind = cpu::KvRunKind::kF32;
-  run.n_tokens = n_tokens;
-  run.f32 = m.row(row0) + kv_head * head_dim;
-  run.stride = m.cols();
-  return run;
+// Attended set of a row at position p: [0, a) ∪ [b0, b1) (see AttendMask).
+struct RowSet {
+  int64_t a, b0, b1;
+  int64_t nb() const { return std::max<int64_t>(0, b1 - b0); }
+};
+
+RowSet row_set(const AttendMask& m, int64_t p) {
+  if (m.window == 0) return {0, 0, p + 1};
+  return {std::min(p + 1, m.sink), std::max(m.sink, p + 1 - m.window), p + 1};
 }
 
-// One head, one query vector, attending two gathered-row ranges: [0, a) and
-// [row2, row2 + cnt2). Scores buffer must hold a + cnt2 floats. When the
-// ranges are adjacent (row2 == a) the split QK calls write per-token-
-// independent dots into adjacent score slots and the chained SV calls
-// accumulate token-sequentially across the boundary, so the result is
-// bitwise identical to one call over rows [0, a + cnt2) — the full-attention
-// case is the a = s_visible, cnt2 = 0 degenerate of this function.
-void head_attention_ranges(const cpu::AttentionKernels& ker, const float* qh,
-                           const Tensor& k, const Tensor& v, int64_t kv_head,
-                           int head_dim, int64_t a, int64_t row2, int64_t cnt2,
-                           bool fp16_accum, float* scores, float* out) {
+// Per-thread tile scratch, grown on demand and reused across tiles.
+struct TileScratch {
+  std::vector<float> q, out, scores, kv;
+};
+
+float* sized(std::vector<float>& v, int64_t n) {
+  if (static_cast<int64_t>(v.size()) < n) v.resize(static_cast<size_t>(n));
+  return v.data();
+}
+
+}  // namespace
+
+void attend_row_tile(const cpu::AttentionKernels& ker, const AttendRun* runs,
+                     int n_runs, const AttendMask& mask, int64_t pos0,
+                     int n_pos, int group, const float* q, int64_t ldq,
+                     float* out, int64_t ldo, int head_dim, bool fp16_accum) {
+  const int dim = cpu::padded_head_dim(head_dim);
+  const int rows = n_pos * group;
   const float scale = 1.0f / std::sqrt(float(head_dim));
-  const int64_t n_vis = a + cnt2;
-  if (a > 0)
-    ker.qk_dot(qh, f32_run(k, 0, kv_head, head_dim, a), head_dim, scores);
-  if (cnt2 > 0)
-    ker.qk_dot(qh, f32_run(k, row2, kv_head, head_dim, cnt2), head_dim,
-               scores + a);
-  for (int64_t t = 0; t < n_vis; ++t) {
-    // QServe converts the QK product to FP16 (§5.3); the baseline keeps FP32.
-    const float dot = scores[t] * scale;
-    scores[t] = fp16_accum ? to_half_precision(dot) : dot;
+  int64_t width = 0, max_run = 0;
+  for (int r = 0; r < n_runs; ++r) {
+    width = std::max(width, runs[r].score0 + runs[r].k.n_tokens);
+    max_run = std::max(max_run, runs[r].k.n_tokens);
   }
-  softmax_inplace(scores, static_cast<int>(n_vis));
-  for (int d = 0; d < head_dim; ++d) out[d] = 0.0f;
-  if (a > 0)
-    ker.sv_accum(scores, f32_run(v, 0, kv_head, head_dim, a), head_dim, out);
-  if (cnt2 > 0)
-    ker.sv_accum(scores + a, f32_run(v, row2, kv_head, head_dim, cnt2),
-                 head_dim, out);
-  if (fp16_accum) {
-    for (int d = 0; d < head_dim; ++d) out[d] = to_half_precision(out[d]);
+  // Runs at or above the sink share one position -> score column offset.
+  const int64_t shift =
+      n_runs > 0 ? runs[n_runs - 1].token0 - runs[n_runs - 1].score0 : 0;
+  const bool windowed = mask.window > 0;
+
+  thread_local TileScratch scratch;
+  float* qt = sized(scratch.q, int64_t(rows) * dim);
+  float* ot = sized(scratch.out, int64_t(rows) * dim);
+  float* sc = sized(scratch.scores, int64_t(rows) * width);
+  float* kv = sized(scratch.kv, round_up(max_run, cpu::kQkLanes) * dim);
+
+  // Query rows (i, g) -> tile row i * group + g, zero-padded to `dim`.
+  for (int i = 0; i < n_pos; ++i)
+    for (int g = 0; g < group; ++g) {
+      const float* src = q + i * ldq + int64_t(g) * head_dim;
+      float* dst = qt + int64_t(i * group + g) * dim;
+      std::copy(src, src + head_dim, dst);
+      std::fill(dst + head_dim, dst + dim, 0.0f);
+    }
+  std::fill(ot, ot + int64_t(rows) * dim, 0.0f);
+
+  // The tokens some row of the tile attends, per run: sink runs up to the
+  // last row's sink cut, the rest between the first row's window start and
+  // the last row's position.
+  const RowSet first = row_set(mask, pos0);
+  const RowSet last = row_set(mask, pos0 + n_pos - 1);
+  const auto in_sink = [&](const AttendRun& run) {
+    return windowed && run.token0 < mask.sink;
+  };
+  const auto clip = [&](const AttendRun& run, int64_t& c0, int64_t& c1) {
+    const int64_t t1 = run.token0 + run.k.n_tokens;
+    if (in_sink(run)) {
+      c0 = run.token0;
+      c1 = std::min(t1, last.a);
+    } else {
+      c0 = std::max(run.token0, first.b0);
+      c1 = std::min(t1, last.b1);
+    }
+    return c0 < c1;
+  };
+
+  // Pass 1: QK. Every row's dot against every clipped token (a dot past a
+  // row's causal limit is computed and never read).
+  for (int r = 0; r < n_runs; ++r) {
+    const AttendRun& run = runs[r];
+    int64_t c0, c1;
+    if (!clip(run, c0, c1)) continue;
+    ker.dequant_run(cpu::sub_run(run.k, c0 - run.token0, c1 - c0), head_dim,
+                    kv, dim);
+    cpu::KvHeadRun k_tile;  // kF32
+    k_tile.n_tokens = c1 - c0;
+    k_tile.f32 = kv;
+    k_tile.stride = dim;
+    ker.qk_tile(qt, dim, rows, k_tile, dim,
+                sc + run.score0 + (c0 - run.token0), width);
   }
+
+  // Scale, FP16 rounding (QServe converts the QK product to FP16, §5.3; the
+  // baseline keeps FP32) and softmax over each row's own attended columns.
+  for (int i = 0; i < n_pos; ++i) {
+    const RowSet rs = row_set(mask, pos0 + i);
+    const int64_t nb = rs.nb();
+    for (int g = 0; g < group; ++g) {
+      float* row = sc + int64_t(i * group + g) * width;
+      float* tail = nb > 0 ? row + (rs.b0 - shift) : nullptr;
+      ker.scale_round(row, rs.a, scale, fp16_accum);
+      ker.scale_round(tail, nb, scale, fp16_accum);
+      softmax_inplace2(row, static_cast<int>(rs.a), tail,
+                       static_cast<int>(nb));
+    }
+  }
+
+  // Pass 2: SV. Consecutive positions that attend the same slice of a run
+  // share one sv_tile call; each row's tokens stay in order across runs.
+  for (int r = 0; r < n_runs; ++r) {
+    const AttendRun& run = runs[r];
+    int64_t c0, c1;
+    if (!clip(run, c0, c1)) continue;
+    ker.dequant_run(cpu::sub_run(run.v, c0 - run.token0, c1 - c0), head_dim,
+                    kv, dim);
+    const auto overlap = [&](int i, int64_t& o0, int64_t& o1) {
+      const RowSet rs = row_set(mask, pos0 + i);
+      o0 = in_sink(run) ? c0 : std::max(c0, rs.b0);
+      o1 = std::min(c1, in_sink(run) ? rs.a : rs.b1);
+    };
+    for (int i = 0; i < n_pos;) {
+      int64_t o0, o1;
+      overlap(i, o0, o1);
+      int j = i + 1;
+      for (; j < n_pos; ++j) {
+        int64_t p0, p1;
+        overlap(j, p0, p1);
+        if (p0 != o0 || p1 != o1) break;
+      }
+      if (o0 < o1) {
+        const int64_t row0 = int64_t(i) * group;
+        ker.sv_tile(sc + row0 * width + run.score0 + (o0 - run.token0), width,
+                    (j - i) * group, kv + (o0 - c0) * dim, dim, o1 - o0, dim,
+                    ot + row0 * dim, dim);
+      }
+      i = j;
+    }
+  }
+
+  for (int i = 0; i < n_pos; ++i)
+    for (int g = 0; g < group; ++g) {
+      const float* src = ot + int64_t(i * group + g) * dim;
+      float* dst = out + i * ldo + int64_t(g) * head_dim;
+      std::copy(src, src + head_dim, dst);
+      if (fp16_accum) ker.scale_round(dst, head_dim, 1.0f, true);
+    }
 }
 
-// One head, one query vector, keys rows [0, s_visible). Scores buffer must
-// hold s_visible floats.
-void head_attention(const cpu::AttentionKernels& ker, const float* qh,
-                    const Tensor& k, const Tensor& v, int64_t kv_head,
-                    int head_dim, int64_t s_visible, bool fp16_accum,
-                    float* scores, float* out) {
-  head_attention_ranges(ker, qh, k, v, kv_head, head_dim, s_visible, 0, 0,
-                        fp16_accum, scores, out);
+namespace {
+
+// Rows per float-matrix run: a multiple of 16 whose dequantized tile stays
+// in L1 at typical head_dims.
+constexpr int64_t kMatrixRunRows = 64;
+
+// Attention of n query rows (row i at position pos0 + i; q/out rows ld*
+// floats apart) against float K/V matrices whose rows [0, sink_rows) hold
+// positions [0, sink_rows) and whose remaining rows hold positions tail0,
+// tail0 + 1, ... . One parallel work item per (KV head, row tile).
+void attend_matrix(const float* q, int64_t ldq, int64_t n, const Tensor& k,
+                   const Tensor& v, const AttentionConfig& cfg,
+                   const AttendMask& mask, int64_t pos0, int64_t sink_rows,
+                   int64_t tail0, float* out, int64_t ldo) {
+  const int group = cfg.n_heads / cfg.n_kv_heads;
+  const int D = cfg.head_dim;
+  const cpu::AttentionKernels& ker =
+      cpu::attention_kernel_for(cpu::active_isa());
+
+  std::vector<std::vector<AttendRun>> runs(static_cast<size_t>(cfg.n_kv_heads));
+  const auto f32_run = [&](const Tensor& m, int64_t row0, int64_t rows,
+                           int kvh) {
+    cpu::KvHeadRun r;
+    r.kind = cpu::KvRunKind::kF32;
+    r.n_tokens = rows;
+    r.f32 = m.row(row0) + int64_t(kvh) * D;
+    r.stride = m.cols();
+    return r;
+  };
+  for (int kvh = 0; kvh < cfg.n_kv_heads; ++kvh) {
+    auto& hr = runs[static_cast<size_t>(kvh)];
+    for (int64_t row0 = 0; row0 < k.rows();) {
+      const int64_t end = row0 < sink_rows ? sink_rows : k.rows();
+      const int64_t rows = std::min(kMatrixRunRows, end - row0);
+      const int64_t token0 = row0 < sink_rows ? row0 : tail0 + row0 - sink_rows;
+      hr.push_back({f32_run(k, row0, rows, kvh), f32_run(v, row0, rows, kvh),
+                    token0, row0});
+      row0 += rows;
+    }
+  }
+
+  const int64_t tile_pos = std::max(1, kTileQueryRows / group);
+  const int64_t n_tiles = ceil_div(n, tile_pos);
+  parallel_for(0, int64_t(cfg.n_kv_heads) * n_tiles, 1,
+               [&](int64_t w0, int64_t w1) {
+                 for (int64_t w = w0; w < w1; ++w) {
+                   const int kvh = static_cast<int>(w / n_tiles);
+                   const int64_t i0 = (w % n_tiles) * tile_pos;
+                   const int np = static_cast<int>(std::min(tile_pos, n - i0));
+                   const auto& hr = runs[static_cast<size_t>(kvh)];
+                   const int64_t hoff = int64_t(kvh) * group * D;
+                   attend_row_tile(ker, hr.data(), static_cast<int>(hr.size()),
+                                   mask, pos0 + i0, np, group,
+                                   q + i0 * ldq + hoff, ldq,
+                                   out + i0 * ldo + hoff, ldo, D,
+                                   cfg.fp16_accum);
+                 }
+               });
 }
 
 }  // namespace
@@ -103,26 +251,9 @@ Tensor attention_prefill(const Tensor& q, const Tensor& k, const Tensor& v,
   QS_CHECK(k.same_shape(v));
   const int64_t n = q.rows(), s = k.rows();
   QS_CHECK_LE(n, s);
-  const int group = cfg.n_heads / cfg.n_kv_heads;
-  const cpu::AttentionKernels& ker = cpu::attention_kernel_for(cpu::active_isa());
-
   Tensor out({n, q.cols()});
-  // Parallel over query positions; every (position, head) pair is
-  // independent, so the result is bitwise identical to the serial loop.
-  parallel_for(0, n, 1, [&](int64_t i0, int64_t i1) {
-    // Reused per pool thread to keep per-row heap traffic off the hot path.
-    thread_local std::vector<float> scores;
-    scores.resize(static_cast<size_t>(s));
-    for (int64_t i = i0; i < i1; ++i) {
-      const int64_t visible = s - n + i + 1;  // causal mask
-      for (int h = 0; h < cfg.n_heads; ++h) {
-        const float* qh = q.row(i) + int64_t(h) * cfg.head_dim;
-        float* oh = out.row(i) + int64_t(h) * cfg.head_dim;
-        head_attention(ker, qh, k, v, h / group, cfg.head_dim, visible,
-                       cfg.fp16_accum, scores.data(), oh);
-      }
-    }
-  });
+  attend_matrix(q.data(), q.cols(), n, k, v, cfg, AttendMask{}, s - n, 0, 0,
+                out.data(), out.cols());
   return out;
 }
 
@@ -149,30 +280,9 @@ Tensor attention_prefill_windowed(const Tensor& q, const Tensor& k,
                "attention_prefill_windowed: earliest query row (position "
                    << s_total - n << ") needs tokens below the resident tail "
                    << tail0);
-  const int group = cfg.n_heads / cfg.n_kv_heads;
-  const cpu::AttentionKernels& ker = cpu::attention_kernel_for(cpu::active_isa());
-
   Tensor out({n, q.cols()});
-  // Parallel over query positions; every (position, head) pair is
-  // independent, so the result is bitwise identical to the serial loop.
-  parallel_for(0, n, 1, [&](int64_t i0, int64_t i1) {
-    // Reused per pool thread to keep per-row heap traffic off the hot path.
-    thread_local std::vector<float> scores;
-    scores.resize(static_cast<size_t>(std::min(s_total, sink + window)));
-    for (int64_t i = i0; i < i1; ++i) {
-      const int64_t p = s_total - n + i;            // logical position
-      const int64_t a = std::min(p + 1, sink_eff);  // sink rows [0, a)
-      const int64_t lo2 = std::max(sink, p + 1 - window);
-      const int64_t cnt2 = std::max<int64_t>(0, p + 1 - lo2);
-      const int64_t row2 = cnt2 > 0 ? sink_eff + (lo2 - tail0) : 0;
-      for (int h = 0; h < cfg.n_heads; ++h) {
-        const float* qh = q.row(i) + int64_t(h) * cfg.head_dim;
-        float* oh = out.row(i) + int64_t(h) * cfg.head_dim;
-        head_attention_ranges(ker, qh, k, v, h / group, cfg.head_dim, a, row2,
-                              cnt2, cfg.fp16_accum, scores.data(), oh);
-      }
-    }
-  });
+  attend_matrix(q.data(), q.cols(), n, k, v, cfg, AttendMask{sink, window},
+                s_total - n, sink_eff, tail0, out.data(), out.cols());
   return out;
 }
 
@@ -181,19 +291,10 @@ void attention_decode_token(const float* q, const Tensor& k, const Tensor& v,
   cfg.validate();
   QS_CHECK_EQ(k.cols(), int64_t(cfg.n_kv_heads) * cfg.head_dim);
   QS_CHECK(k.same_shape(v));
-  const int64_t s = k.rows();
-  const int group = cfg.n_heads / cfg.n_kv_heads;
-  const cpu::AttentionKernels& ker = cpu::attention_kernel_for(cpu::active_isa());
-  parallel_for(0, cfg.n_heads, 1, [&](int64_t h0, int64_t h1) {
-    // Reused per pool thread to keep per-head heap traffic off the hot path.
-    thread_local std::vector<float> scores;
-    scores.resize(static_cast<size_t>(s));
-    for (int64_t h = h0; h < h1; ++h) {
-      head_attention(ker, q + h * cfg.head_dim, k, v,
-                     static_cast<int>(h) / group, cfg.head_dim, s,
-                     cfg.fp16_accum, scores.data(), out + h * cfg.head_dim);
-    }
-  });
+  QS_CHECK_GT(k.rows(), 0);
+  const int64_t hd = int64_t(cfg.n_heads) * cfg.head_dim;
+  attend_matrix(q, hd, 1, k, v, cfg, AttendMask{}, k.rows() - 1, 0, 0, out,
+                hd);
 }
 
 }  // namespace qserve

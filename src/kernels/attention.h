@@ -1,14 +1,22 @@
-// Attention kernels (Eq. 1) for prefill and decode, with GQA support.
+// Attention (Eq. 1) for prefill and decode, with GQA support.
 //
-// K/V inputs arrive as float matrices — in the quantized-serving path they
-// are produced by the paged KV cache's dequantization (src/kvcache), so the
-// INT4/INT8 round-trip error is already embedded, exactly like the fused GPU
-// kernel that dequantizes page data inline. `fp16_accum` models QServe's
-// FP32→FP16 conversion of the QK and SV products (§5.3).
+// Every attention in the repo runs through attend_row_tile below: a tile of
+// consecutive query positions × the GQA query group of one KV head, walked
+// against the KV head's token runs with the ISA-dispatched tile kernels
+// (kernels/cpu/attention_kernel.h). The float-matrix entry points here
+// (attention_prefill*, attention_decode_token — the FP32 reference model,
+// the quantizer's calibration, and the gather-based test references) view
+// their K/V matrices as float runs; the paged executor (kvcache/
+// fused_attention.h) feeds the same routine quantized page runs. The two
+// are bitwise equal by construction whenever the runs hold the same values.
+// `fp16_accum` models QServe's FP32→FP16 conversion of the QK and SV
+// products (§5.3).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
+#include "kernels/cpu/attention_kernel.h"
 #include "tensor/tensor.h"
 
 namespace qserve {
@@ -47,10 +55,9 @@ Tensor attention_prefill(const Tensor& q, const Tensor& k, const Tensor& v,
 // i.e. every row sees its *own* trailing window into history, not a shared
 // cut — this is what makes recompute-on-resume re-derive bitwise-identical
 // prefill results after preemption. When the two intervals are adjacent
-// (p+1 <= sink+window) the row degenerates to full causal attention, and the
-// split QK/SV kernel calls over adjacent gathered rows are bitwise identical
-// to the single-range attention_prefill path — so window >= context is
-// bit-for-bit today's full attention by construction.
+// (p+1 <= sink+window) the row degenerates to full causal attention over
+// the same tokens in the same order, so window >= context is bit-for-bit
+// full attention by construction.
 Tensor attention_prefill_windowed(const Tensor& q, const Tensor& k,
                                   const Tensor& v, const AttentionConfig& cfg,
                                   int64_t s_total, int64_t sink,
@@ -60,5 +67,45 @@ Tensor attention_prefill_windowed(const Tensor& q, const Tensor& k,
 // K, V are [s, HKV*D]. Writes H*D floats to `out`.
 void attention_decode_token(const float* q, const Tensor& k, const Tensor& v,
                             const AttentionConfig& cfg, float* out);
+
+// --- the tile executor -------------------------------------------------------
+
+// One contiguous run of a KV head's tokens: K and V over the same logical
+// positions [token0, token0 + k.n_tokens), scored into columns
+// [score0, score0 + k.n_tokens) of a row's score buffer.
+struct AttendRun {
+  cpu::KvHeadRun k, v;
+  int64_t token0 = 0;
+  int64_t score0 = 0;
+};
+
+// Which cached positions a query row at position p attends:
+//   window == 0: [0, p + 1)                                (full causal)
+//   window  > 0: [0, min(p + 1, sink)) ∪ [max(sink, p + 1 - window), p + 1)
+// Runs must list the attended tokens in ascending position; runs below
+// `sink` must be scored at their own positions (score0 == token0), and all
+// runs at or above it share one offset token0 - score0.
+struct AttendMask {
+  int64_t sink = 0;
+  int64_t window = 0;
+};
+
+// Query rows a tile aims for: span positions per tile = max(1, this / group).
+inline constexpr int kTileQueryRows = 16;
+
+// One row tile: `n_pos` consecutive positions pos0 .. pos0 + n_pos - 1, each
+// with the `group` query heads that share this KV head. Query row (i, g)
+// reads q + i * ldq + g * head_dim and writes out + i * ldo + g * head_dim.
+// Each run is dequantized once for the whole tile (K for QK, V for SV),
+// clipped to the tokens some row of the tile attends. Per (row, head) the
+// result is the two-pass attention — canonical QK dots, scale and optional
+// FP16 rounding, softmax, token-ordered SV, optional FP16 rounding of the
+// output — so it does not depend on the tile shape, the run boundaries or
+// the thread that runs it. Scratch is thread-local and bounded by the tile:
+// n_pos * group rows of scores, each as wide as the runs' score columns.
+void attend_row_tile(const cpu::AttentionKernels& ker, const AttendRun* runs,
+                     int n_runs, const AttendMask& mask, int64_t pos0,
+                     int n_pos, int group, const float* q, int64_t ldq,
+                     float* out, int64_t ldo, int head_dim, bool fp16_accum);
 
 }  // namespace qserve

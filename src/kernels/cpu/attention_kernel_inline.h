@@ -8,6 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
 
 #include "common/half.h"
 #include "kernels/cpu/attention_kernel.h"
@@ -36,6 +41,25 @@ inline TokenParams token_params(const KvHeadRun& run, int64_t t) {
     return {};
   }
 }
+
+#if defined(__x86_64__) && defined(__GNUC__)
+// token_params for the SIMD TUs: the dynamic kinds convert the stored FP16
+// {scale, zero} pair with one F16C vcvtph2ps — exact, and equal to
+// detail::half_bits_to_float bit for bit because stored halves are never
+// signalling NaNs (float_to_half_bits quiets them).
+template <KvRunKind K>
+__attribute__((target("f16c"))) inline TokenParams token_params_f16c(
+    const KvHeadRun& run, int64_t t) {
+  if constexpr (K == KvRunKind::kInt8Dyn || K == KvRunKind::kInt4Dyn) {
+    uint32_t bits;
+    std::memcpy(&bits, run.params + t * run.param_stride, sizeof(bits));
+    const __m128 sz = _mm_cvtph_ps(_mm_cvtsi32_si128(static_cast<int>(bits)));
+    return {_mm_cvtss_f32(sz), _mm_cvtss_f32(_mm_movehdup_ps(sz))};
+  } else {
+    return token_params<K>(run, t);
+  }
+}
+#endif
 
 // Dequantized element d of one token, given that token's base pointers —
 // the scalar reference every vector kernel's tail must reproduce exactly.

@@ -6,6 +6,7 @@
 // vector kernels' mul-then-add sequences exactly.
 #include "kernels/cpu/attention_kernel.h"
 
+#include "common/half.h"
 #include "kernels/cpu/attention_kernel_inline.h"
 
 namespace qserve::cpu {
@@ -16,82 +17,91 @@ using attn_inline::run_element;
 using attn_inline::token_params;
 
 template <KvRunKind K>
-void qk_dot_scalar_t(const float* q, const KvHeadRun& run, int head_dim,
-                     float* dots) {
-  const int blocks = head_dim & ~(kQkLanes - 1);
+void dequant_run_scalar_t(const KvHeadRun& run, int head_dim, float* tile,
+                          int64_t ld) {
+  const int dim = padded_head_dim(head_dim);
   for (int64_t t = 0; t < run.n_tokens; ++t) {
     const uint8_t* ct = run.codes ? run.codes + t * run.stride : nullptr;
     const uint16_t* ht =
         run.half_bits ? run.half_bits + t * run.stride : nullptr;
     const float* ft = run.f32 ? run.f32 + t * run.stride : nullptr;
     const auto p = token_params<K>(run, t);
-    // The canonical 16-lane accumulation: lane d & 15, increasing d. Whole
-    // 16-element blocks add one element to every lane (a fixed-trip inner
-    // loop the compiler can keep in registers), then the tail continues
-    // the same lane walk, so each lane sees the same add sequence.
-    float lanes[kQkLanes] = {};
-    for (int d = 0; d < blocks; d += kQkLanes)
-      for (int l = 0; l < kQkLanes; ++l)
-        lanes[l] += q[d + l] * run_element<K>(ct, ht, ft, d + l, p.scale,
-                                              p.zero);
-    for (int d = blocks; d < head_dim; ++d)
-      lanes[d & (kQkLanes - 1)] +=
-          q[d] * run_element<K>(ct, ht, ft, d, p.scale, p.zero);
-    dots[t] = fold_qk_lanes(lanes);
+    float* row = tile + t * ld;
+    for (int d = 0; d < head_dim; ++d)
+      row[d] = run_element<K>(ct, ht, ft, d, p.scale, p.zero);
+    for (int d = head_dim; d < dim; ++d) row[d] = 0.0f;
+  }
+}
+
+void dequant_run_scalar(const KvHeadRun& run, int head_dim, float* tile,
+                        int64_t ld) {
+  switch (run.kind) {
+    case KvRunKind::kF32:
+      return dequant_run_scalar_t<KvRunKind::kF32>(run, head_dim, tile, ld);
+    case KvRunKind::kFp16:
+      return dequant_run_scalar_t<KvRunKind::kFp16>(run, head_dim, tile, ld);
+    case KvRunKind::kInt8Dyn:
+      return dequant_run_scalar_t<KvRunKind::kInt8Dyn>(run, head_dim, tile,
+                                                       ld);
+    case KvRunKind::kInt8Static:
+      return dequant_run_scalar_t<KvRunKind::kInt8Static>(run, head_dim, tile,
+                                                          ld);
+    case KvRunKind::kInt4Dyn:
+      return dequant_run_scalar_t<KvRunKind::kInt4Dyn>(run, head_dim, tile,
+                                                       ld);
   }
 }
 
 template <KvRunKind K>
-void sv_accum_scalar_t(const float* p, const KvHeadRun& run, int head_dim,
-                       float* out) {
-  for (int64_t t = 0; t < run.n_tokens; ++t) {
-    const uint8_t* ct = run.codes ? run.codes + t * run.stride : nullptr;
-    const uint16_t* ht =
-        run.half_bits ? run.half_bits + t * run.stride : nullptr;
-    const float* ft = run.f32 ? run.f32 + t * run.stride : nullptr;
-    const auto tp = token_params<K>(run, t);
-    const float pt = p[t];
-    for (int d = 0; d < head_dim; ++d)
-      out[d] += pt * run_element<K>(ct, ht, ft, d, tp.scale, tp.zero);
+void qk_tile_scalar_t(const float* q, int64_t ldq, int rows, const KvHeadRun& k,
+                      int dim, float* dots, int64_t ldd) {
+  for (int r = 0; r < rows; ++r) {
+    const float* qr = q + r * ldq;
+    for (int64_t t = 0; t < k.n_tokens; ++t) {
+      const uint16_t* ht = k.half_bits ? k.half_bits + t * k.stride : nullptr;
+      const float* ft = k.f32 ? k.f32 + t * k.stride : nullptr;
+      // The canonical 16-lane accumulation: lane d & 15, increasing d.
+      float lanes[kQkLanes] = {};
+      for (int d = 0; d < dim; d += kQkLanes)
+        for (int l = 0; l < kQkLanes; ++l)
+          lanes[l] +=
+              qr[d + l] * run_element<K>(nullptr, ht, ft, d + l, 0.0f, 0.0f);
+      dots[r * ldd + t] = fold_qk_lanes(lanes);
+    }
   }
 }
 
-void qk_dot_scalar(const float* q, const KvHeadRun& run, int head_dim,
-                   float* dots) {
-  switch (run.kind) {
-    case KvRunKind::kF32:
-      return qk_dot_scalar_t<KvRunKind::kF32>(q, run, head_dim, dots);
-    case KvRunKind::kFp16:
-      return qk_dot_scalar_t<KvRunKind::kFp16>(q, run, head_dim, dots);
-    case KvRunKind::kInt8Dyn:
-      return qk_dot_scalar_t<KvRunKind::kInt8Dyn>(q, run, head_dim, dots);
-    case KvRunKind::kInt8Static:
-      return qk_dot_scalar_t<KvRunKind::kInt8Static>(q, run, head_dim, dots);
-    case KvRunKind::kInt4Dyn:
-      return qk_dot_scalar_t<KvRunKind::kInt4Dyn>(q, run, head_dim, dots);
+void qk_tile_scalar(const float* q, int64_t ldq, int rows, const KvHeadRun& k,
+                    int dim, float* dots, int64_t ldd) {
+  if (k.kind == KvRunKind::kFp16)
+    return qk_tile_scalar_t<KvRunKind::kFp16>(q, ldq, rows, k, dim, dots, ldd);
+  qk_tile_scalar_t<KvRunKind::kF32>(q, ldq, rows, k, dim, dots, ldd);
+}
+
+void sv_tile_scalar(const float* p, int64_t ldp, int rows, const float* v,
+                    int64_t ldv, int64_t n_tokens, int dim, float* out,
+                    int64_t ldo) {
+  for (int r = 0; r < rows; ++r) {
+    const float* pr = p + r * ldp;
+    float* orow = out + r * ldo;
+    for (int64_t t = 0; t < n_tokens; ++t) {
+      const float* vt = v + t * ldv;
+      const float pt = pr[t];
+      for (int d = 0; d < dim; ++d) orow[d] += pt * vt[d];
+    }
   }
 }
 
-void sv_accum_scalar(const float* p, const KvHeadRun& run, int head_dim,
-                     float* out) {
-  switch (run.kind) {
-    case KvRunKind::kF32:
-      return sv_accum_scalar_t<KvRunKind::kF32>(p, run, head_dim, out);
-    case KvRunKind::kFp16:
-      return sv_accum_scalar_t<KvRunKind::kFp16>(p, run, head_dim, out);
-    case KvRunKind::kInt8Dyn:
-      return sv_accum_scalar_t<KvRunKind::kInt8Dyn>(p, run, head_dim, out);
-    case KvRunKind::kInt8Static:
-      return sv_accum_scalar_t<KvRunKind::kInt8Static>(p, run, head_dim, out);
-    case KvRunKind::kInt4Dyn:
-      return sv_accum_scalar_t<KvRunKind::kInt4Dyn>(p, run, head_dim, out);
+void scale_round_scalar(float* x, int64_t n, float scale, bool to_half) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float s = x[i] * scale;
+    x[i] = to_half ? to_half_precision(s) : s;
   }
 }
 
 constexpr AttentionKernels kScalarAttentionKernels = {
-    Isa::kScalar,
-    qk_dot_scalar,
-    sv_accum_scalar,
+    Isa::kScalar,   dequant_run_scalar, qk_tile_scalar,
+    sv_tile_scalar, scale_round_scalar,
 };
 
 }  // namespace

@@ -146,16 +146,38 @@ Tensor gemm_fp16w(const Tensor& x, const U16Tensor& w) {
   Tensor y({m, n});
   const cpu::AttentionKernels& kern =
       cpu::attention_kernel_for(cpu::active_isa());
+  // The QK tile reads whole 16-lane blocks of whole 16-row groups. A full
+  // group of weight rows whose k is on the grid is read in place (converted
+  // exactly as it is loaded); anything else is first dequantized into a
+  // zero-padded float tile, with x's rows padded to match. Both give the
+  // same bits: padding adds +0 products.
+  const int dim = cpu::padded_head_dim(static_cast<int>(k));
+  Tensor xp;
+  const float* xs = x.data();
+  if (dim != k) {
+    xp = Tensor({m, int64_t(dim)});
+    for (int64_t t = 0; t < m; ++t)
+      std::copy(x.row(t), x.row(t) + k, xp.row(t));
+    xs = xp.data();
+  }
   parallel_for(0, ceil_div(n, kFp16wRowBlock), 1, [&](int64_t b0, int64_t b1) {
-    for (int64_t b = b0; b < b1; ++b) {
-      const int64_t r0 = b * kFp16wRowBlock;
+    thread_local std::vector<float> tile;
+    for (int64_t r0 = b0 * kFp16wRowBlock;
+         r0 < std::min(n, b1 * kFp16wRowBlock); r0 += cpu::kQkLanes) {
       cpu::KvHeadRun run;
       run.kind = cpu::KvRunKind::kFp16;
-      run.n_tokens = std::min(kFp16wRowBlock, n - r0);
+      run.n_tokens = std::min<int64_t>(cpu::kQkLanes, n - r0);
       run.half_bits = w.row(r0);
       run.stride = k;
-      for (int64_t t = 0; t < m; ++t)
-        kern.qk_dot(x.row(t), run, static_cast<int>(k), y.row(t) + r0);
+      if (dim != k || run.n_tokens < cpu::kQkLanes) {
+        tile.resize(static_cast<size_t>(cpu::kQkLanes) * dim);
+        kern.dequant_run(run, static_cast<int>(k), tile.data(), dim);
+        run = cpu::KvHeadRun{};  // kF32
+        run.n_tokens = std::min<int64_t>(cpu::kQkLanes, n - r0);
+        run.f32 = tile.data();
+        run.stride = dim;
+      }
+      kern.qk_tile(xs, dim, static_cast<int>(m), run, dim, y.data() + r0, n);
     }
   });
   return y;

@@ -40,16 +40,16 @@ namespace qserve {
 Tensor gemm_f32_ref(const Tensor& x, const Tensor& w);
 
 // y[t, r] = dot(x[t, :], half(w[r, :])) over binary16 weight bits w [n, k].
-// Each dot is one call of the ISA-dispatched attention QK kernel
-// (cpu::AttentionKernels::qk_dot on a KvRunKind::kFp16 run), so it inherits
-// that kernel's canonical reduction order: 16 virtual lanes, pairwise fold,
-// mul-then-add without FMA, exact half -> float conversion. A dot depends
-// only on its own x row and w row, so y is bitwise identical across ISAs,
-// thread counts and the number of rows m in the call (a row's logits do not
-// depend on which batch it was stacked into). Against gemm_f32_ref on the
-// same half-rounded weights the only difference is FP32 vs double
-// accumulation. Threads split the output rows into fixed blocks; each block's
-// weights stay cache-resident while all m rows of x pass over them.
+// Runs on the ISA-dispatched attention QK tile kernel: every x row is
+// dotted against each 16-row group of weight rows at once
+// (cpu::AttentionKernels::qk_tile on a KvRunKind::kFp16 run), so the dots
+// inherit the canonical reduction order: 16 virtual lanes,
+// pairwise fold, mul-then-add without FMA, exact half -> float conversion. A
+// dot depends only on its own x row and w row, so y is bitwise identical
+// across ISAs, thread counts and the number of rows m in the call (a row's
+// logits do not depend on which batch it was stacked into). Against
+// gemm_f32_ref on the same half-rounded weights the only difference is FP32
+// vs double accumulation. Threads split the output rows into fixed blocks.
 Tensor gemm_fp16w(const Tensor& x, const U16Tensor& w);
 
 // Raw INT8 x INT8 -> INT32 (the "tensor core" primitive).

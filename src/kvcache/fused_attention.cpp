@@ -1,58 +1,14 @@
 #include "kvcache/fused_attention.h"
 
-#include <cmath>
+#include <algorithm>
 #include <vector>
 
-#include "common/half.h"
-#include "common/math_util.h"
 #include "common/parallel.h"
-#include "kernels/cpu/attention_kernel.h"
 #include "kernels/cpu/isa.h"
 
 namespace qserve {
 
 namespace {
-
-// One head of one sequence's decode attention, driven by the page-run API:
-// QK scores and SV accumulation chain across the sequence's page runs with
-// inline dequantization inside the microkernels — no per-(token, head)
-// scratch copies. The scale/softmax/rounding sequence between the two kernel
-// calls is written exactly like attention.cpp's head_attention so the fused
-// and gather paths stay bitwise identical.
-//
-// Scores are indexed by the view's compact score offsets (`run_score0`), not
-// logical positions: a sliding-window view exposes only the sink + window
-// runs, so the score buffer holds `visible_tokens()` entries. For a
-// full-attention view run_score0 == run_token0 and visible_tokens() ==
-// length(), making this byte-for-byte the pre-window code path.
-void view_head_attention(const PagedKvCache::SeqView& kv,
-                         const cpu::AttentionKernels& ker,
-                         const AttentionConfig& cfg, int kv_head,
-                         const float* qh, float* scores, float* oh) {
-  const float scale = 1.0f / std::sqrt(float(cfg.head_dim));
-  const int64_t s_vis = kv.visible_tokens();
-  const int n_runs = kv.num_page_runs();
-
-  // Pass 1: QK scores with inline K dequantization, page run by page run.
-  for (int r = 0; r < n_runs; ++r)
-    ker.qk_dot(qh, kv.k_run(r, kv_head), cfg.head_dim,
-               scores + kv.run_score0(r));
-  for (int64_t t = 0; t < s_vis; ++t) {
-    // QServe converts the QK product to FP16 (§5.3); the baseline keeps FP32.
-    const float dot = scores[t] * scale;
-    scores[t] = cfg.fp16_accum ? to_half_precision(dot) : dot;
-  }
-  softmax_inplace(scores, static_cast<int>(s_vis));
-
-  // Pass 2: SV accumulation with inline V dequantization.
-  for (int d = 0; d < cfg.head_dim; ++d) oh[d] = 0.0f;
-  for (int r = 0; r < n_runs; ++r)
-    ker.sv_accum(scores + kv.run_score0(r), kv.v_run(r, kv_head),
-                 cfg.head_dim, oh);
-  if (cfg.fp16_accum) {
-    for (int d = 0; d < cfg.head_dim; ++d) oh[d] = to_half_precision(oh[d]);
-  }
-}
 
 void check_against_cache(const PagedKvCache& cache,
                          const AttentionConfig& cfg) {
@@ -61,33 +17,77 @@ void check_against_cache(const PagedKvCache& cache,
   QS_CHECK_EQ(cfg.head_dim, cache.config().head_dim);
 }
 
+// One row tile of one item: rows [i0, i0 + n_pos) against KV head kv_head.
+struct TileWork {
+  int item;
+  int kv_head;
+  int64_t i0;
+  int n_pos;
+};
+
 }  // namespace
+
+void paged_attention(const PagedKvCache& cache,
+                     const std::vector<SpanAttentionItem>& items,
+                     const AttentionConfig& cfg, int q_head0, int n_q_heads) {
+  if (items.empty() || n_q_heads == 0) return;
+  check_against_cache(cache, cfg);
+  const int group = cfg.n_heads / cfg.n_kv_heads;
+  QS_CHECK(q_head0 >= 0 && n_q_heads >= 0 &&
+           q_head0 + n_q_heads <= cfg.n_heads);
+  // GQA-group alignment keeps every KV head's query group in one call.
+  QS_CHECK(q_head0 % group == 0 && n_q_heads % group == 0);
+  const int kv_head0 = q_head0 / group;
+  const int n_kv = n_q_heads / group;
+  const cpu::AttentionKernels& ker =
+      cpu::attention_kernel_for(cpu::active_isa());
+
+  // One locked page-table snapshot per item, resolved up front so the
+  // parallel region below never touches the cache mutex. Each view exposes
+  // the tail its span's earliest row attends.
+  std::vector<PagedKvCache::SeqView> views;
+  views.reserve(items.size());
+  const int64_t tile_pos = std::max(1, kTileQueryRows / group);
+  std::vector<TileWork> work;
+  for (size_t it = 0; it < items.size(); ++it) {
+    const SpanAttentionItem& item = items[it];
+    QS_CHECK_GE(item.n, 1);
+    views.push_back(cache.view(item.seq, item.n));
+    QS_CHECK_GE(views.back().length(), item.n);
+    for (int h = 0; h < n_kv; ++h)
+      for (int64_t i0 = 0; i0 < item.n; i0 += tile_pos)
+        work.push_back({static_cast<int>(it), kv_head0 + h, i0,
+                        static_cast<int>(std::min(tile_pos, item.n - i0))});
+  }
+
+  parallel_for(0, static_cast<int64_t>(work.size()), 1,
+               [&](int64_t w0, int64_t w1) {
+    thread_local std::vector<AttendRun> runs;
+    for (int64_t w = w0; w < w1; ++w) {
+      const TileWork& tw = work[static_cast<size_t>(w)];
+      const SpanAttentionItem& item = items[static_cast<size_t>(tw.item)];
+      const PagedKvCache::SeqView& kv = views[static_cast<size_t>(tw.item)];
+      runs.clear();
+      for (int r = 0; r < kv.num_page_runs(); ++r)
+        runs.push_back({kv.k_run(r, tw.kv_head), kv.v_run(r, tw.kv_head),
+                        kv.run_token0(r), kv.run_score0(r)});
+      // Local query head of this KV head's group 0, within the slice.
+      const int64_t hoff = int64_t(tw.kv_head - kv_head0) * group *
+                           cfg.head_dim;
+      attend_row_tile(ker, runs.data(), static_cast<int>(runs.size()),
+                      AttendMask{kv.sink(), kv.window()},
+                      kv.length() - item.n + tw.i0, tw.n_pos, group,
+                      item.q + tw.i0 * item.ld + hoff, item.ld,
+                      item.out + tw.i0 * item.ld + hoff, item.ld,
+                      cfg.head_dim, cfg.fp16_accum);
+    }
+  });
+}
 
 void fused_decode_attention(const PagedKvCache& cache, int seq,
                             const float* q, const AttentionConfig& cfg,
                             float* out) {
-  check_against_cache(cache, cfg);
-  // One locked page-table resolution for the whole kernel; the page-run
-  // walks below are lock-free, as a fused kernel's gathers must be.
-  const PagedKvCache::SeqView kv = cache.view(seq);
-  const int64_t s_len = kv.length();
-  QS_CHECK_GT(s_len, 0);
-  const int group = cfg.n_heads / cfg.n_kv_heads;
-  const cpu::AttentionKernels& ker =
-      cpu::attention_kernel_for(cpu::active_isa());
-
-  // Parallel over heads; each head reads its own KV slices and writes its
-  // own slice of `out`, so the result matches the serial loop bitwise.
-  parallel_for(0, cfg.n_heads, 1, [&](int64_t h0, int64_t h1) {
-    // Reused per pool thread to keep per-head heap traffic off the hot path.
-    thread_local std::vector<float> scores;
-    scores.resize(static_cast<size_t>(kv.visible_tokens()));
-    for (int64_t h = h0; h < h1; ++h) {
-      view_head_attention(kv, ker, cfg, static_cast<int>(h) / group,
-                          q + h * cfg.head_dim, scores.data(),
-                          out + h * cfg.head_dim);
-    }
-  });
+  batched_fused_decode_attention(cache, {{seq, q, out}}, cfg);
 }
 
 void batched_fused_decode_attention(
@@ -99,43 +99,11 @@ void batched_fused_decode_attention(
 void batched_fused_decode_attention(
     const PagedKvCache& cache, const std::vector<DecodeAttentionItem>& items,
     const AttentionConfig& cfg, int q_head0, int n_q_heads) {
-  if (items.empty() || n_q_heads == 0) return;
-  check_against_cache(cache, cfg);
-  const int group = cfg.n_heads / cfg.n_kv_heads;
-  QS_CHECK(q_head0 >= 0 && n_q_heads >= 0 &&
-           q_head0 + n_q_heads <= cfg.n_heads);
-  // GQA-group alignment keeps every KV head's query group in one shard.
-  QS_CHECK(q_head0 % group == 0 && n_q_heads % group == 0);
-  const cpu::AttentionKernels& ker =
-      cpu::attention_kernel_for(cpu::active_isa());
-
-  // One locked page-table snapshot per sequence, resolved up front so the
-  // big parallel region below never touches the cache mutex.
-  std::vector<PagedKvCache::SeqView> views;
-  views.reserve(items.size());
-  for (const DecodeAttentionItem& it : items) {
-    views.push_back(cache.view(it.seq));
-    QS_CHECK_GT(views.back().length(), 0);
-  }
-
-  // One flat work list over all sequences × heads for the whole engine step.
-  // Each (item, head) pair owns its output slice exclusively, so scheduling
-  // order and thread count cannot change the result. Local head l maps to
-  // global query head q_head0 + l; items' q/out are slice-relative.
-  const int64_t n_work = int64_t(items.size()) * n_q_heads;
-  parallel_for(0, n_work, 1, [&](int64_t w0, int64_t w1) {
-    thread_local std::vector<float> scores;
-    for (int64_t w = w0; w < w1; ++w) {
-      const size_t i = static_cast<size_t>(w / n_q_heads);
-      const int l = static_cast<int>(w % n_q_heads);
-      const PagedKvCache::SeqView& kv = views[i];
-      scores.resize(static_cast<size_t>(kv.visible_tokens()));
-      view_head_attention(kv, ker, cfg, (q_head0 + l) / group,
-                          items[i].q + int64_t(l) * cfg.head_dim,
-                          scores.data(),
-                          items[i].out + int64_t(l) * cfg.head_dim);
-    }
-  });
+  std::vector<SpanAttentionItem> spans;
+  spans.reserve(items.size());
+  for (const DecodeAttentionItem& it : items)
+    spans.push_back({it.seq, 1, it.q, it.out, 0});
+  paged_attention(cache, spans, cfg, q_head0, n_q_heads);
 }
 
 }  // namespace qserve

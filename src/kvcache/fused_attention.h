@@ -1,14 +1,23 @@
-// Fused decode attention over quantized KV pages (§5.3).
+// Paged attention over quantized KV pages (§5.3), for every row a step
+// carries: decode rows, speculative verify spans and prefill chunks.
 //
 // The QServe CUDA kernel never materializes a dequantized K/V matrix: it
-// walks the pages, dequantizes each head-vector inline (2-op bit tricks),
-// and accumulates QK / SV products in FP16. This is the CPU counterpart:
-// the ISA-dispatched attention microkernels (kernels/cpu/attention_kernel.h)
-// walk the PagedKvCache's pages directly via the SeqView page-run API —
-// per-head codes + in-page scales/zeros, dequantized inline in SIMD
-// registers — and accumulate at the configured precision. Numerically it
-// must match the gather-then-attend reference path exactly — a property the
-// tests pin down — while avoiding the O(S * kv_dim) temporary.
+// walks the pages, dequantizes each head-vector inline, and accumulates QK /
+// SV products in FP16. This is the CPU counterpart. One executor call builds
+// a work list over (span × KV head × row tile); each tile — consecutive span
+// rows × the GQA query group of one KV head — walks the sequence's page runs
+// in place (PagedKvCache::SeqView) and runs attend_row_tile
+// (kernels/attention.h), which dequantizes each page run once per tile into
+// an L1 float tile for the ISA-dispatched QK/SV kernels. Every row applies
+// its own causal limit, and a windowed sequence's rows their own
+// sink + trailing-window sets, so a k-row span attends bitwise like k
+// sequential decode rows. Nothing larger than one page run is dequantized,
+// and score scratch is bounded by one row tile.
+//
+// Numerically the result equals the gather-then-attend reference
+// (PagedKvCache::gather + attention_prefill[_windowed]) bit for bit, at any
+// thread count, ISA, tile shape and TP head range: both run the same tile
+// routine over runs holding the same values.
 #pragma once
 
 #include <vector>
@@ -18,6 +27,33 @@
 
 namespace qserve {
 
+// One sequence's span of query rows: its last `n` positions, already
+// appended to the cache (row i is position length - n + i). q and out point
+// at row 0 of [n, ld]-strided matrices; within a row, local query head l
+// occupies [l * head_dim, (l + 1) * head_dim).
+struct SpanAttentionItem {
+  int seq = -1;              // PagedKvCache sequence handle
+  int64_t n = 1;             // rows in the span (1 = a decode row)
+  const float* q = nullptr;  // post-RoPE queries
+  float* out = nullptr;
+  int64_t ld = 0;            // floats between rows of q and of out
+};
+
+// The span executor: resolves each sequence's page table once (one lock
+// round per item), then walks every (item, KV head, row tile) in a single
+// parallel_for. It computes query heads [q_head0, q_head0 + n_q_heads) of
+// the FULL config `cfg`, with q/out pointing at that head slice (local head
+// 0 = global head q_head0); the range must be GQA-group aligned so every KV
+// head's query group lives in one call — the tensor-parallel shard split.
+// Each tile writes only its own output rows, so the result is bitwise
+// independent of scheduling, thread count and ISA, and a shard's slice is
+// bitwise the matching slice of the unsharded call.
+void paged_attention(const PagedKvCache& cache,
+                     const std::vector<SpanAttentionItem>& items,
+                     const AttentionConfig& cfg, int q_head0, int n_q_heads);
+
+// --- single decode rows (the n = 1 case) -------------------------------------
+
 // One decode step for one sequence: q is [n_heads * head_dim] (post-RoPE),
 // out receives [n_heads * head_dim]. `fp16_accum` mirrors QServe's FP16
 // QK/SV arithmetic.
@@ -26,30 +62,19 @@ void fused_decode_attention(const PagedKvCache& cache, int seq,
                             float* out);
 
 // One engine step's worth of single-row decode attention: every sequence
-// that decodes (or verifies token-by-token) this step contributes one item.
+// that decodes this step contributes one item.
 struct DecodeAttentionItem {
   int seq = -1;            // PagedKvCache sequence handle
   const float* q = nullptr;  // [n_heads * head_dim], post-RoPE
   float* out = nullptr;      // [n_heads * head_dim]
 };
 
-// Batched executor: resolves each sequence's page table once (one lock
-// round per sequence), then walks all items × heads in a single
-// parallel_for — one kernel dispatch per engine step instead of a
-// per-sequence fan-out. Each (item, head) writes only its own output slice,
-// so the result is bitwise identical to calling fused_decode_attention on
-// each item in any order, at any thread count, on any ISA.
+// paged_attention over one-row spans: all heads, or the GQA-aligned head
+// range [q_head0, q_head0 + n_q_heads) with items' q/out pointing at that
+// slice.
 void batched_fused_decode_attention(const PagedKvCache& cache,
                                     const std::vector<DecodeAttentionItem>& items,
                                     const AttentionConfig& cfg);
-
-// Head-ranged executor for tensor-parallel shards: computes only query
-// heads [q_head0, q_head0 + n_q_heads) of the FULL config `cfg`, with each
-// item's q/out pointing at the shard's own slice (local head 0 = global
-// head q_head0). The range must be GQA-group aligned (q_head0 and n_q_heads
-// multiples of n_heads / n_kv_heads) so every KV head's query group lives
-// in one shard. Per-head arithmetic is the full executor's — a shard's
-// output slice is bitwise the corresponding slice of the unsharded call.
 void batched_fused_decode_attention(const PagedKvCache& cache,
                                     const std::vector<DecodeAttentionItem>& items,
                                     const AttentionConfig& cfg, int q_head0,

@@ -697,13 +697,17 @@ void PagedKvCache::read_v(int seq, int64_t token, int head,
   read_head(*locate(seq, token, head), token, head, /*is_k=*/false, out);
 }
 
-PagedKvCache::SeqView PagedKvCache::view(int seq) const {
+PagedKvCache::SeqView PagedKvCache::view(int seq, int64_t rows) const {
   SeqView v;
   v.cache_ = this;
   std::lock_guard<std::mutex> lk(mu_);
   QS_CHECK(is_live_locked(seq));
   const auto& s = seqs_[static_cast<size_t>(seq)];
+  QS_CHECK(rows >= 1 && rows <= std::max<int64_t>(1, s.length));
   v.length_ = s.length;
+  v.sink_ = s.sink;
+  v.window_ = s.window;
+  int64_t score0 = 0;  // compact score-buffer offset of the next run
   auto add_range = [&](int64_t t0, int64_t t1) {
     // Emit per-page runs covering logical positions [t0, t1).
     int64_t t = t0;
@@ -715,23 +719,28 @@ PagedKvCache::SeqView PagedKvCache::view(int seq) const {
       QS_CHECK_GE(pid, 0);
       const Page& p = pages_[static_cast<size_t>(pid)];
       v.runs_.push_back({&p, p.generation.load(std::memory_order_relaxed), t,
-                         slot0, n, v.visible_});
-      v.visible_ += n;
+                         slot0, n, score0});
+      score0 += n;
       t += n;
     }
   };
-  if (s.window == 0 || s.length <= s.sink + s.window) {
-    // Full attention (or a windowed sequence still inside sinks + window —
-    // nothing recycled, every position visible): one run per page, exactly
-    // the pre-window view. `window >= context` is bit-identical to full
-    // attention because it takes THIS path.
+  // Window start of the earliest row (position length - rows).
+  const int64_t lo =
+      s.window == 0 ? 0 : std::max(s.sink, s.length - rows + 1 - s.window);
+  QS_CHECK_MSG(s.window == 0 || lo >= s.tail0,
+               "view: the earliest row's window starts at "
+                   << lo << ", below the resident tail " << s.tail0);
+  if (s.window == 0 || lo <= s.sink) {
+    // Full attention (or a windowed sequence whose earliest row still sees
+    // everything past the sinks): one run per page. `window >= context` is
+    // bit-identical to full attention because it takes THIS path.
     add_range(0, s.length);
   } else {
-    // Sinks, then the trailing window. The first tail run may start
-    // mid-page; the positions between the sinks and the window's left edge
-    // are invisible to the NEXT query even when still resident.
+    // Sinks, then the tail from the earliest row's window start. The first
+    // tail run may start mid-page; positions between the sinks and `lo`
+    // are invisible to every row even when still resident.
     add_range(0, s.sink);
-    add_range(s.length - s.window, s.length);
+    add_range(lo, s.length);
   }
   return v;
 }
@@ -836,10 +845,6 @@ cpu::KvHeadRun PagedKvCache::SeqView::v_run(int run, int head) const {
   return head_run(run, head, /*is_k=*/false);
 }
 
-void PagedKvCache::gather(int seq, Tensor& k_out, Tensor& v_out) const {
-  gather_heads(seq, k_out, v_out, 0, cfg_.n_kv_heads);
-}
-
 int64_t PagedKvCache::gather_visible(int seq, Tensor& k_out,
                                      Tensor& v_out) const {
   return gather_visible_heads(seq, k_out, v_out, 0, cfg_.n_kv_heads);
@@ -896,21 +901,19 @@ int64_t PagedKvCache::gather_visible_heads(int seq, Tensor& k_out,
   return tail0;
 }
 
-void PagedKvCache::gather_heads(int seq, Tensor& k_out, Tensor& v_out,
-                                int head0, int head1) const {
-  QS_CHECK(head0 >= 0 && head0 <= head1 && head1 <= cfg_.n_kv_heads);
+void PagedKvCache::gather(int seq, Tensor& k_out, Tensor& v_out) const {
   // One locked page-table snapshot, then unlocked per-head dequantization —
   // the same arithmetic as read_k/read_v, head by head.
   const SeqView v = view(seq);
-  const int64_t span = int64_t(head1 - head0) * cfg_.head_dim;
+  const int64_t span = head_span();
   k_out = Tensor({v.length(), span});
   v_out = Tensor({v.length(), span});
   for (int64_t t = 0; t < v.length(); ++t) {
     float* kr = k_out.row(t);
     float* vr = v_out.row(t);
-    for (int h = head0; h < head1; ++h) {
-      v.read_k(t, h, kr + int64_t(h - head0) * cfg_.head_dim);
-      v.read_v(t, h, vr + int64_t(h - head0) * cfg_.head_dim);
+    for (int h = 0; h < cfg_.n_kv_heads; ++h) {
+      v.read_k(t, h, kr + int64_t(h) * cfg_.head_dim);
+      v.read_v(t, h, vr + int64_t(h) * cfg_.head_dim);
     }
   }
 }

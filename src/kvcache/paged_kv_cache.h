@@ -4,8 +4,10 @@
 // per-tensor *static* INT8 scales, QServe stores FP16 scale + zero point per
 // (token, head) immediately after the quantized features in each page and
 // updates them on the fly — the requirement for KV4 accuracy. This module is
-// the storage substrate; the fused attention numerics (FP16 accumulation)
-// live in kernels/attention.h and consume the dequantized gather.
+// the storage substrate; attention (kvcache/fused_attention.h) reads the
+// pages in place through SeqView's page runs and dequantizes them inline.
+// gather()/gather_visible() materialize FP32 copies only for references and
+// tests.
 // Threading contract: the serving engine fans out prefill/decode across
 // requests, so append/read/gather on *distinct* sequences may run
 // concurrently — pool bookkeeping (page allocation, free lists, usage
@@ -208,14 +210,9 @@ class PagedKvCache {
   bool can_grow(int seq, int64_t tokens) const;
 
   // Dequantize the whole sequence into [s, n_kv_heads*head_dim] matrices
-  // (the gather a fused attention kernel performs page by page).
+  // (the values the paged attention reads page by page) — a reference for
+  // tests and offline replays, not a serving path.
   void gather(int seq, Tensor& k_out, Tensor& v_out) const;
-
-  // Head-ranged gather for tensor-parallel shards: dequantize only heads
-  // [head0, head1) into [s, (head1-head0)*head_dim] matrices. Bitwise the
-  // corresponding columns of the full gather.
-  void gather_heads(int seq, Tensor& k_out, Tensor& v_out, int head0,
-                    int head1) const;
 
   // Windowed gather: dequantize every RESIDENT token of a windowed sequence —
   // the sinks [0, min(sink, len)) followed by the retained tail [tail0, len)
@@ -223,17 +220,18 @@ class PagedKvCache {
   // oldest post-sink logical position whose page has not been recycled;
   // equals the sink boundary while nothing has been recycled yet). The
   // retained tail is a superset of any row's attention window, including
-  // every row of an append span up to slack tokens, so a windowed prefill
-  // kernel can mask per row against logical positions: gathered row of
+  // every row of an append span up to slack tokens, so
+  // attention_prefill_windowed can mask per row against logical positions
+  // (the reference the paged executor is tested against): gathered row of
   // logical t is t for t < sink_eff and sink_eff + (t - tail0) for
   // t >= tail0. QS_CHECKs that the sequence actually has a window.
   int64_t gather_visible(int seq, Tensor& k_out, Tensor& v_out) const;
   int64_t gather_visible_heads(int seq, Tensor& k_out, Tensor& v_out,
                                int head0, int head1) const;
 
-  // Dequantize a single (token, head) K or V vector into out[head_dim] —
-  // the inline access pattern of the fused attention kernel (§5.3). Exactly
-  // the same arithmetic as gather().
+  // Dequantize a single (token, head) K or V vector into out[head_dim].
+  // Exactly the same arithmetic as gather() and as the attention kernels'
+  // page-run dequantization.
   void read_k(int seq, int64_t token, int head, float* out) const;
   void read_v(int seq, int64_t token, int head, float* out) const;
 
@@ -250,10 +248,9 @@ class PagedKvCache {
   class SeqView {
    public:
     int64_t length() const { return length_; }
-    // Tokens a decode-attention pass over this view visits: length() for a
-    // full-attention sequence; sinks + trailing window once a windowed
-    // sequence grows past them. This is the compact score-buffer size.
-    int64_t visible_tokens() const { return visible_; }
+    // The sequence's window policy (both 0 = full attention).
+    int64_t sink() const { return sink_; }
+    int64_t window() const { return window_; }
     void read_k(int64_t token, int head, float* out) const;
     void read_v(int64_t token, int head, float* out) const;
 
@@ -264,8 +261,9 @@ class PagedKvCache {
     // and rows [run_score0(r), run_score0(r) + n_tokens) of the compact
     // score buffer; for a full-attention sequence the two coincide (one run
     // per page, score buffer indexed by position). A windowed view's runs
-    // cover exactly [0, sink) then [length - window', length) — the first
-    // tail run may start mid-page — so kernels never touch recycled pages.
+    // cover exactly [0, sink) then [lo, length), where lo is the window
+    // start of the view's earliest row — the first tail run may start
+    // mid-page — so kernels never touch recycled pages.
     // The returned KvHeadRun's kind reflects the cache precision (kFp16 /
     // kInt8Dyn / kInt8Static / kInt4Dyn); pointers stay valid under the same
     // snapshot/staleness contract as read_k/read_v (generation-checked).
@@ -291,9 +289,15 @@ class PagedKvCache {
     const PagedKvCache* cache_ = nullptr;
     std::vector<Run> runs_;
     int64_t length_ = 0;
-    int64_t visible_ = 0;
+    int64_t sink_ = 0;
+    int64_t window_ = 0;
   };
-  SeqView view(int seq) const;
+  // A view for the last `rows` positions of the sequence as query rows (an
+  // append span: row i at position length - rows + i). A windowed view
+  // exposes the sinks plus every position from the earliest row's window
+  // start on; that tail is resident because ring slack covers the widest
+  // span (QS_CHECKed). rows = 1 is a decode row's view.
+  SeqView view(int seq, int64_t rows = 1) const;
 
   const KvCacheConfig& config() const { return cfg_; }
 

@@ -394,8 +394,6 @@ int QuantizedModel::begin_sequence() {
   for (int l = 0; l < cfg_.n_layers; ++l)
     s.layer_seqs.push_back(kv_->alloc_sequence());
   s.next_pos = 0;
-  s.sink = 0;
-  s.window = 0;
   s.live = true;
   return id;
 }
@@ -407,8 +405,6 @@ void QuantizedModel::set_sequence_window(int seq, int64_t sink_tokens,
   QS_CHECK(state.live);
   for (int ls : state.layer_seqs)
     kv_->set_window(ls, sink_tokens, window_tokens, slack_tokens);
-  state.sink = sink_tokens;
-  state.window = window_tokens;
 }
 
 void QuantizedModel::end_sequence(int seq) {
@@ -498,14 +494,13 @@ Tensor QuantizedModel::run_blocks_batched(const std::vector<SeqSpan>& spans,
     // Attention section, timed separately (attention_seconds_): KV append +
     // attend. Slots for every span are reserved centrally, in span order —
     // ONE kKvAppend fault draw per span, so an armed fault site fires at the
-    // same step regardless of shard count. Then all single-row spans (decode
-    // and token-wise verify rows) run through ONE batched executor call per
-    // shard that walks all sequences × heads in a single parallel_for,
-    // dequantizing page data inline in the ISA-dispatched microkernels
-    // (§5.3). Multi-row spans (prefill chunks) gather the dequantized K/V
-    // once — both paths share the same kernel arithmetic, so the step is
-    // bitwise identical to a per-sequence fan-out at any thread count, ISA
-    // and shard count.
+    // same step regardless of shard count. Then every span — decode rows,
+    // verify spans and prefill chunks alike — attends through ONE
+    // paged_attention call per shard that walks all spans × KV heads × row
+    // tiles in a single parallel_for, reading the quantized pages in place
+    // (§5.3). Each row applies its own causal (or sink + window) limit, so
+    // the step is bitwise identical to a per-sequence, per-token fan-out at
+    // any thread count, ISA and shard count.
     const auto attn_t0 = std::chrono::steady_clock::now();
     for (size_t si = 0; si < spans.size(); ++si) {
       const SeqSpan& sp = spans[si];
@@ -537,60 +532,16 @@ Tensor QuantizedModel::run_blocks_batched(const std::vector<SeqSpan>& spans,
                 }
               });
           // No cross-shard barrier before attending: a shard reads only the
-          // KV heads it just wrote. Multi-row spans attend with the shard's
-          // head-sliced config — the kernels are per-head, so the slice
-          // output is bitwise the matching columns of the unsharded call.
-          AttentionConfig scfg = attn_cfg_;
-          scfg.n_heads = qn;
-          scfg.n_kv_heads = sh.kh1 - sh.kh0;
-          const auto attend_span = [&](const SeqSpan& sp, const Tensor& q) {
-            const auto& st = seqs_[static_cast<size_t>(sp.seq)];
-            return span_attention(
-                st.layer_seqs[li], st, q,
-                int64_t(positions[static_cast<size_t>(sp.row0)]) + sp.n, scfg,
-                sh.kh0, sh.kh1);
-          };
+          // KV heads it just wrote.
           Tensor& attn_s = attns[static_cast<size_t>(s)];
-          if (spans.size() == 1 && spans[0].n > 1) {
-            // Single multi-row span (a plain prefill chunk): q already is
-            // exactly this span's rows, so attend on it directly — no
-            // scratch copies.
-            attn_s = attend_span(spans[0], qsl);
-            return;
-          }
           attn_s = Tensor({n, int64_t(qn) * dim});
-          std::vector<DecodeAttentionItem> items;
-          std::vector<size_t> multi;
+          std::vector<SpanAttentionItem> items;
           items.reserve(spans.size());
-          for (size_t si = 0; si < spans.size(); ++si) {
-            const SeqSpan& sp = spans[si];
-            if (sp.n == 1) {
-              items.push_back(
-                  {seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li],
-                   qsl.row(sp.row0), attn_s.row(sp.row0)});
-            } else {
-              multi.push_back(si);
-            }
-          }
-          if (!items.empty())
-            batched_fused_decode_attention(*kv_, items, attn_cfg_, sh.qh0,
-                                           qn);
-          // The gather path for the (rare) multi-row spans sharing the step
-          // with decodes.
-          parallel_for(
-              0, static_cast<int64_t>(multi.size()), 1,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t mi = lo; mi < hi; ++mi) {
-                  const SeqSpan& sp = spans[multi[static_cast<size_t>(mi)]];
-                  Tensor qspan({sp.n, attn_s.cols()});
-                  std::copy(qsl.row(sp.row0),
-                            qsl.row(sp.row0) + sp.n * qspan.cols(),
-                            qspan.data());
-                  const Tensor a = attend_span(sp, qspan);
-                  std::copy(a.data(), a.data() + a.numel(),
-                            attn_s.row(sp.row0));
-                }
-              });
+          for (const SeqSpan& sp : spans)
+            items.push_back({seqs_[static_cast<size_t>(sp.seq)].layer_seqs[li],
+                             sp.n, qsl.row(sp.row0), attn_s.row(sp.row0),
+                             qsl.cols()});
+          paged_attention(*kv_, items, attn_cfg_, sh.qh0, qn);
         },
         times.data());
     note_shard_times(times);
@@ -643,24 +594,6 @@ Tensor QuantizedModel::run_blocks_batched(const std::vector<SeqSpan>& spans,
                                 &TpShard::f1, times));
   }
   return x;
-}
-
-Tensor QuantizedModel::span_attention(int lseq, const SeqState& st,
-                                      const Tensor& qspan, int64_t s_total,
-                                      const AttentionConfig& acfg, int kh0,
-                                      int kh1) const {
-  Tensor kd, vd;
-  if (st.window > 0) {
-    const int64_t tail0 = kv_->gather_visible_heads(lseq, kd, vd, kh0, kh1);
-    return attention_prefill_windowed(qspan, kd, vd, acfg, s_total, st.sink,
-                                      st.window, tail0);
-  }
-  if (kh0 == 0 && kh1 == cfg_.n_kv_heads) {
-    kv_->gather(lseq, kd, vd);
-  } else {
-    kv_->gather_heads(lseq, kd, vd, kh0, kh1);
-  }
-  return attention_prefill(qspan, kd, vd, acfg);
 }
 
 Tensor QuantizedModel::logits_from_hidden(const Tensor& h) const {
@@ -789,12 +722,10 @@ int QuantizedModel::fork_sequence(int src, int64_t upto_len) {
   s.layer_seqs.clear();
   for (int ls : sp.layer_seqs)
     s.layer_seqs.push_back(kv_->fork_sequence(ls, upto_len));
-  s.next_pos = upto_len;
   // Forks start full-attention regardless of the source's policy (the cache
   // enforces that only never-recycled pages were aliased); the caller
   // installs its own window if it wants one.
-  s.sink = 0;
-  s.window = 0;
+  s.next_pos = upto_len;
   s.live = true;
   return id;
 }

@@ -193,9 +193,10 @@ class QuantizedModel {
   // ONE stacked forward — a single GEMM call per projection per shard per
   // layer covers all decode tokens and prefill-chunk tokens of the step
   // (per-token activation quantization is row-wise, so stacking changes no
-  // numerics). Only attention fans out per-sequence against the paged KV
-  // cache, and KV appends reserve each sequence's slots once, then scatter
-  // them per shard head range. Returns
+  // numerics). Attention is one paged_attention call per shard per layer
+  // over every span's row tiles, reading the quantized pages in place, and
+  // KV appends reserve each sequence's slots once, then scatter them per
+  // shard head range. Returns
   // [total_logit_rows(), vocab] logits: chunks contribute their trailing
   // `logit_rows` positions, in chunk order, positions ascending within a
   // chunk (logit_rows = 0 chunks contribute nothing and skip the LM head).
@@ -220,10 +221,9 @@ class QuantizedModel {
   // primitive: requests sharing a prompt prefix share its KV pages.
   int fork_sequence(int src, int64_t upto_len);
   // Install a sliding window with attention sinks on `seq` across every
-  // layer's KV sequence (PagedKvCache::set_window). From then on the
-  // sequence's attention — decode rows via the paged SeqView, prefill chunks
-  // via gather_visible + attention_prefill_windowed — walks only the sink
-  // runs plus each row's trailing window, and the cache recycles the oldest
+  // layer's KV sequence (PagedKvCache::set_window). From then on every row
+  // of the sequence's attention (paged_attention) walks only the sink runs
+  // plus its own trailing window, and the cache recycles the oldest
   // non-sink page in place once the ring fills, so a 32k generation holds a
   // constant page footprint. Must be called before the sequence grows past
   // sinks + window + slack; `slack_tokens` must cover both the deepest
@@ -246,15 +246,14 @@ class QuantizedModel {
 
   // Observability for the attention executor (EngineStats reads these):
   // cumulative wall time spent in the per-layer attention sections of the
-  // block stack (KV append + QK/softmax/SV, both the batched decode executor
-  // and the prefill gather path).
+  // block stack (KV append + QK/softmax/SV for every span).
   double attention_seconds() const { return attention_seconds_; }
-  // How many batched_fused_decode_attention dispatches ran (one per layer
-  // per step that carries at least one single-row span; one per SHARD per
-  // layer under tensor parallelism, since each shard dispatches its own
-  // head range) and how many sequence-items they covered in total — a step
-  // with d decode rows adds d * n_layers items regardless of shard count,
-  // never a per-sequence fan-out.
+  // How many paged_attention dispatches carried decode rows (one per layer
+  // per step with at least one single-row span; one per SHARD per layer
+  // under tensor parallelism, since each shard dispatches its own head
+  // range) and how many decode rows they covered in total — a step with d
+  // decode rows adds d * n_layers items regardless of shard count, never a
+  // per-sequence fan-out.
   int64_t batched_attention_calls() const { return batched_attention_calls_; }
   int64_t decode_attention_items() const { return decode_attention_items_; }
 
@@ -296,17 +295,6 @@ class QuantizedModel {
   // row-parallel projections are plain GEMMs.
   Tensor run_blocks_batched(const std::vector<SeqSpan>& spans, Tensor x,
                             const std::vector<int>& positions);
-  struct SeqState;  // defined below with the data members
-  // Multi-row span attention against the paged cache: full-attention spans
-  // gather every cached K/V row and run attention_prefill; windowed spans
-  // gather only the visible rows (sinks + retained tail) and run
-  // attention_prefill_windowed. [kh0, kh1) selects the KV head range — TP
-  // shards pass their slice together with a head-sliced AttentionConfig;
-  // a single shard passes the full range. `s_total` is the sequence
-  // length after the span's rows were appended.
-  Tensor span_attention(int lseq, const SeqState& st, const Tensor& qspan,
-                        int64_t s_total, const AttentionConfig& acfg, int kh0,
-                        int kh1) const;
   Tensor logits_from_hidden(const Tensor& h) const;
   // Fold one shard region's per-shard wall times into the imbalance
   // accumulators.
@@ -355,11 +343,6 @@ class QuantizedModel {
   struct SeqState {
     std::vector<int> layer_seqs;
     int64_t next_pos = 0;
-    // Sliding-window attention parameters (0 = full attention); mirrors the
-    // per-layer cache state so the executors can route multi-row spans to
-    // the windowed gather/prefill path without a cache query.
-    int64_t sink = 0;
-    int64_t window = 0;
     bool live = false;
   };
   std::vector<SeqState> seqs_;

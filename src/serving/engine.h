@@ -111,9 +111,9 @@ struct EngineStats {
   double decode_seconds = 0;
   double wall_seconds = 0;
   // Wall time the forwards spent inside the per-layer attention sections
-  // (KV append + QK/softmax/SV; batched decode executor and prefill gather
+  // (KV append + QK/softmax/SV of the paged executor, decode rows and spans
   // alike), summed over target and draft models, and its share of
-  // wall_seconds — the observable this PR's SIMD attention kernels move.
+  // wall_seconds — the observable the attention kernels move.
   double attention_seconds = 0;
   double attention_share = 0;
   // Tensor-parallel observables (draft-model deltas included, like

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "kernels/attention.h"
 #include "kernels/cpu/attention_kernel.h"
@@ -20,6 +21,7 @@
 #include "model/quantized_model.h"
 #include "model/weights.h"
 #include "serving/engine.h"
+#include "span_attention_fixture.h"
 
 namespace qserve {
 namespace {
@@ -186,6 +188,61 @@ TEST(AttentionIsaEquivalence, PrefillGatherPathAcrossIsas) {
     ASSERT_TRUE(ref.same_shape(got));
     for (int64_t i = 0; i < ref.numel(); ++i) ASSERT_EQ(ref[i], got[i]) << i;
   }
+}
+
+// Multi-row spans through the paged executor: every ISA at 1 and 8 pool
+// threads must reproduce the scalar single-thread result bitwise, which in
+// turn equals gather + attention_prefill[_windowed] — over every KV storage
+// form, GQA groups 1/2/4, span widths around the 16-row tile, windowed spans
+// whose first row reaches below the last row's window, an off-grid
+// head_dim, and a TP head range.
+TEST(AttentionIsaEquivalence, SpanAttentionAcrossIsasAndThreads) {
+  using testing_span::bitwise_equal;
+  using testing_span::SpanCase;
+  using testing_span::SpanFixture;
+  uint64_t seed = 300;
+  for (const KvForm& f : kKvForms)
+    for (const int group : {1, 2, 4})
+      for (const bool windowed : {false, true})
+        for (const int64_t n : {int64_t(1), int64_t(5), int64_t(17),
+                                int64_t(40)}) {
+          SpanCase c;
+          c.precision = f.precision;
+          c.static_scales = f.static_scales;
+          c.n_kv_heads = 2;
+          c.n_heads = 2 * group;
+          c.head_dim = 40;
+          c.n = n;
+          c.fp16_accum = true;
+          c.windowed = windowed;
+          const SpanFixture fx(c, seed++);
+          const std::string tag = std::string(f.name) + " group=" +
+                                  std::to_string(group) + " windowed=" +
+                                  std::to_string(windowed) + " n=" +
+                                  std::to_string(n);
+          Tensor ref, ref_slice;
+          {
+            IsaGuard guard(Isa::kScalar);
+            set_num_threads(1);
+            ref = fx.paged();
+            ref_slice = fx.paged(group, group);  // KV head 1's query group
+            ASSERT_TRUE(bitwise_equal(ref, fx.reference())) << tag;
+            ASSERT_TRUE(bitwise_equal(ref_slice, ref, int64_t(group) * 40))
+                << tag;
+          }
+          for (Isa isa : supported_isas())
+            for (const int threads : {1, 8}) {
+              IsaGuard guard(isa);
+              set_num_threads(threads);
+              EXPECT_TRUE(bitwise_equal(fx.paged(), ref))
+                  << tag << " isa=" << cpu::isa_name(isa)
+                  << " threads=" << threads;
+              EXPECT_TRUE(bitwise_equal(fx.paged(group, group), ref_slice))
+                  << tag << " head range, isa=" << cpu::isa_name(isa)
+                  << " threads=" << threads;
+            }
+          set_num_threads(0);
+        }
 }
 
 TEST(AttentionIsaEquivalence, BatchedMatchesPerSequenceUnderChurn) {
@@ -363,13 +420,15 @@ TEST(AttentionIsaDispatch, KernelTableIsConsistent) {
   for (Isa isa : supported_isas()) {
     const cpu::AttentionKernels& ker = cpu::attention_kernel_for(isa);
     EXPECT_EQ(isa, ker.isa) << cpu::isa_name(isa);
-    EXPECT_NE(nullptr, ker.qk_dot);
-    EXPECT_NE(nullptr, ker.sv_accum);
+    EXPECT_NE(nullptr, ker.dequant_run);
+    EXPECT_NE(nullptr, ker.qk_tile);
+    EXPECT_NE(nullptr, ker.sv_tile);
+    EXPECT_NE(nullptr, ker.scale_round);
   }
   // Unsupported ISAs resolve to a usable kernel rather than nullptr.
   const cpu::AttentionKernels& fallback =
       cpu::attention_kernel_for(Isa::kAvx512);
-  EXPECT_NE(nullptr, fallback.qk_dot);
+  EXPECT_NE(nullptr, fallback.qk_tile);
 }
 
 TEST(AttentionIsaDispatch, EnvOverridePinsTheFusedKernel) {

@@ -5,6 +5,7 @@
 // one core and wall-clock scaling is pure scheduler noise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -67,18 +68,29 @@ TEST(TpScalingModel, OversubscribedHostTimeSlicesEvenly) {
 
 // --- calibration against the measured engine ---------------------------------
 
+// Decode tok/s of one fixed workload, best of kMeasureRuns fresh runs: a
+// single wall-clock run on a shared host can lose a whole time slice to
+// another process and land far off the curve; the best run is the one the
+// host disturbed least, for every shard count alike.
+constexpr int kMeasureRuns = 3;
+
 double measured_decode_tps(const ModelWeights& weights, int shards) {
-  QuantizedModel model(weights, QuantSchemeConfig::qserve_w4a8kv4_per_channel(),
-                       TpConfig{shards});
-  ServingEngine engine(&model, nullptr, EngineConfig{});
-  Rng rng(99);
-  for (int i = 0; i < 4; ++i) {
-    std::vector<int> prompt(16);
-    for (auto& t : prompt) t = rng.uniform_int(0, 511);
-    engine.submit(prompt, /*max_new_tokens=*/48);
+  double best = 0.0;
+  for (int run = 0; run < kMeasureRuns; ++run) {
+    QuantizedModel model(weights,
+                         QuantSchemeConfig::qserve_w4a8kv4_per_channel(),
+                         TpConfig{shards});
+    ServingEngine engine(&model, nullptr, EngineConfig{});
+    Rng rng(99);
+    for (int i = 0; i < 4; ++i) {
+      std::vector<int> prompt(16);
+      for (auto& t : prompt) t = rng.uniform_int(0, 511);
+      engine.submit(prompt, /*max_new_tokens=*/48);
+    }
+    const EngineStats stats = engine.run_to_completion();
+    best = std::max(best, stats.decode_tokens_per_second);
   }
-  const EngineStats stats = engine.run_to_completion();
-  return stats.decode_tokens_per_second;
+  return best;
 }
 
 TEST(TpScalingCalibration, PredictionTracksMeasuredShardCurve) {
