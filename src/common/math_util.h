@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 namespace qserve {
 
@@ -27,6 +28,17 @@ inline int8_t clamp_i8(int v) {
 }
 
 inline uint8_t clamp_u4(int v) { return static_cast<uint8_t>(clamp(v, 0, 15)); }
+
+// Grows `buf` so that n floats fit from a 64-byte (cache-line) boundary on,
+// and returns that start. A vector's own storage is only 16-byte aligned, and
+// a SIMD tile whose rows straddle cache lines splits every 64-byte load.
+inline float* cache_aligned(std::vector<float>& buf, int64_t n) {
+  constexpr int64_t kLineFloats = 64 / sizeof(float);
+  if (static_cast<int64_t>(buf.size()) < n + kLineFloats - 1)
+    buf.resize(static_cast<size_t>(n + kLineFloats - 1));
+  const auto addr = reinterpret_cast<uintptr_t>(buf.data());
+  return buf.data() + ((64 - addr % 64) % 64) / sizeof(float);
+}
 
 inline bool is_pow2(int64_t x) { return x > 0 && (x & (x - 1)) == 0; }
 

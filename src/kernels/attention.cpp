@@ -44,17 +44,19 @@ RowSet row_set(const AttendMask& m, int64_t p) {
   return {std::min(p + 1, m.sink), std::max(m.sink, p + 1 - m.window), p + 1};
 }
 
-// Per-thread tile scratch, grown on demand and reused across tiles.
+// Per-thread tile scratch, grown on demand and reused across tiles. Every
+// buffer starts on a cache line, so the padded q/out/K/V tile rows do too.
 struct TileScratch {
   std::vector<float> q, out, scores, kv;
 };
 
-float* sized(std::vector<float>& v, int64_t n) {
-  if (static_cast<int64_t>(v.size()) < n) v.resize(static_cast<size_t>(n));
-  return v.data();
-}
-
 }  // namespace
+
+int tile_head_slices(int64_t n_tiles, int group) {
+  const int threads = in_parallel_region() ? 1 : num_threads();
+  if (n_tiles <= 0 || n_tiles >= threads) return 1;
+  return static_cast<int>(std::min<int64_t>(group, ceil_div(threads, n_tiles)));
+}
 
 void attend_row_tile(const cpu::AttentionKernels& ker, const AttendRun* runs,
                      int n_runs, const AttendMask& mask, int64_t pos0,
@@ -74,10 +76,10 @@ void attend_row_tile(const cpu::AttentionKernels& ker, const AttendRun* runs,
   const bool windowed = mask.window > 0;
 
   thread_local TileScratch scratch;
-  float* qt = sized(scratch.q, int64_t(rows) * dim);
-  float* ot = sized(scratch.out, int64_t(rows) * dim);
-  float* sc = sized(scratch.scores, int64_t(rows) * width);
-  float* kv = sized(scratch.kv, round_up(max_run, cpu::kQkLanes) * dim);
+  float* qt = cache_aligned(scratch.q, int64_t(rows) * dim);
+  float* ot = cache_aligned(scratch.out, int64_t(rows) * dim);
+  float* sc = cache_aligned(scratch.scores, int64_t(rows) * width);
+  float* kv = cache_aligned(scratch.kv, round_up(max_run, cpu::kQkLanes) * dim);
 
   // Query rows (i, g) -> tile row i * group + g, zero-padded to `dim`.
   for (int i = 0; i < n_pos; ++i)
@@ -190,7 +192,8 @@ constexpr int64_t kMatrixRunRows = 64;
 // Attention of n query rows (row i at position pos0 + i; q/out rows ld*
 // floats apart) against float K/V matrices whose rows [0, sink_rows) hold
 // positions [0, sink_rows) and whose remaining rows hold positions tail0,
-// tail0 + 1, ... . One parallel work item per (KV head, row tile).
+// tail0 + 1, ... . One parallel work item per (KV head, row tile, head
+// slice).
 void attend_matrix(const float* q, int64_t ldq, int64_t n, const Tensor& k,
                    const Tensor& v, const AttentionConfig& cfg,
                    const AttendMask& mask, int64_t pos0, int64_t sink_rows,
@@ -224,16 +227,21 @@ void attend_matrix(const float* q, int64_t ldq, int64_t n, const Tensor& k,
 
   const int64_t tile_pos = std::max(1, kTileQueryRows / group);
   const int64_t n_tiles = ceil_div(n, tile_pos);
-  parallel_for(0, int64_t(cfg.n_kv_heads) * n_tiles, 1,
+  const int slices = tile_head_slices(cfg.n_kv_heads * n_tiles, group);
+  parallel_for(0, int64_t(cfg.n_kv_heads) * n_tiles * slices, 1,
                [&](int64_t w0, int64_t w1) {
                  for (int64_t w = w0; w < w1; ++w) {
-                   const int kvh = static_cast<int>(w / n_tiles);
-                   const int64_t i0 = (w % n_tiles) * tile_pos;
+                   const int s = static_cast<int>(w % slices);
+                   const int64_t tile = w / slices;
+                   const int kvh = static_cast<int>(tile / n_tiles);
+                   const int64_t i0 = (tile % n_tiles) * tile_pos;
                    const int np = static_cast<int>(std::min(tile_pos, n - i0));
+                   const int g0 = s * group / slices;
+                   const int g1 = (s + 1) * group / slices;
                    const auto& hr = runs[static_cast<size_t>(kvh)];
-                   const int64_t hoff = int64_t(kvh) * group * D;
+                   const int64_t hoff = (int64_t(kvh) * group + g0) * D;
                    attend_row_tile(ker, hr.data(), static_cast<int>(hr.size()),
-                                   mask, pos0 + i0, np, group,
+                                   mask, pos0 + i0, np, g1 - g0,
                                    q + i0 * ldq + hoff, ldq,
                                    out + i0 * ldo + hoff, ldo, D,
                                    cfg.fp16_accum);

@@ -93,8 +93,16 @@ struct AttendMask {
 // Query rows a tile aims for: span positions per tile = max(1, this / group).
 inline constexpr int kTileQueryRows = 16;
 
+// Query-head slices to cut each row tile's GQA group into: 1 while there are
+// at least as many tiles as pool threads, otherwise enough (at most `group`)
+// that a lone decoding sequence still spreads over the pool. Rows are
+// independent, so slicing changes no result bit — only how many times a page
+// run is dequantized. Slice s of S holds heads [s*group/S, (s+1)*group/S).
+int tile_head_slices(int64_t n_tiles, int group);
+
 // One row tile: `n_pos` consecutive positions pos0 .. pos0 + n_pos - 1, each
-// with the `group` query heads that share this KV head. Query row (i, g)
+// with `group` query heads that share this KV head (the whole GQA group or
+// one slice of it). Query row (i, g)
 // reads q + i * ldq + g * head_dim and writes out + i * ldo + g * head_dim.
 // Each run is dequantized once for the whole tile (K for QK, V for SV),
 // clipped to the tokens some row of the tile attends. Per (row, head) the

@@ -27,8 +27,17 @@ void dequant_run_scalar_t(const KvHeadRun& run, int head_dim, float* tile,
     const float* ft = run.f32 ? run.f32 + t * run.stride : nullptr;
     const auto p = token_params<K>(run, t);
     float* row = tile + t * ld;
-    for (int d = 0; d < head_dim; ++d)
-      row[d] = run_element<K>(ct, ht, ft, d, p.scale, p.zero);
+    if constexpr (K == KvRunKind::kInt4Dyn) {
+      // One byte holds elements 2i (low nibble) and 2i + 1 (head_dim is
+      // even): run_element's arithmetic without a per-element shift.
+      for (int i = 0; i < head_dim / 2; ++i) {
+        row[2 * i] = float(ct[i] & 0xF) * p.scale + p.zero;
+        row[2 * i + 1] = float(ct[i] >> 4) * p.scale + p.zero;
+      }
+    } else {
+      for (int d = 0; d < head_dim; ++d)
+        row[d] = run_element<K>(ct, ht, ft, d, p.scale, p.zero);
+    }
     for (int d = head_dim; d < dim; ++d) row[d] = 0.0f;
   }
 }

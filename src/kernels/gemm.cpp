@@ -146,11 +146,13 @@ Tensor gemm_fp16w(const Tensor& x, const U16Tensor& w) {
   Tensor y({m, n});
   const cpu::AttentionKernels& kern =
       cpu::attention_kernel_for(cpu::active_isa());
-  // The QK tile reads whole 16-lane blocks of whole 16-row groups. A full
-  // group of weight rows whose k is on the grid is read in place (converted
-  // exactly as it is loaded); anything else is first dequantized into a
-  // zero-padded float tile, with x's rows padded to match. Both give the
-  // same bits: padding adds +0 products.
+  // Each 16-row weight group is dequantized into a zero-padded float tile
+  // that every x row then reuses. A single x row (a decode step's logits)
+  // reuses nothing, so a full group whose k is on the 16-lane grid is read
+  // in place instead, converted exactly as it is loaded (bench_w4a8_gemm's
+  // lm_head rows, one thread on an AVX-512 host: 1.8x the single-row
+  // throughput of the tile, while at 8 rows the tile is 1.3x faster). Both give the same bits (the conversion is exact and padding
+  // adds +0 products); x's rows are padded to match the tile.
   const int dim = cpu::padded_head_dim(static_cast<int>(k));
   Tensor xp;
   const float* xs = x.data();
@@ -169,12 +171,12 @@ Tensor gemm_fp16w(const Tensor& x, const U16Tensor& w) {
       run.n_tokens = std::min<int64_t>(cpu::kQkLanes, n - r0);
       run.half_bits = w.row(r0);
       run.stride = k;
-      if (dim != k || run.n_tokens < cpu::kQkLanes) {
-        tile.resize(static_cast<size_t>(cpu::kQkLanes) * dim);
-        kern.dequant_run(run, static_cast<int>(k), tile.data(), dim);
+      if (m > 1 || dim != k || run.n_tokens < cpu::kQkLanes) {
+        float* t = cache_aligned(tile, int64_t(cpu::kQkLanes) * dim);
+        kern.dequant_run(run, static_cast<int>(k), t, dim);
         run = cpu::KvHeadRun{};  // kF32
         run.n_tokens = std::min<int64_t>(cpu::kQkLanes, n - r0);
-        run.f32 = tile.data();
+        run.f32 = t;
         run.stride = dim;
       }
       kern.qk_tile(xs, dim, static_cast<int>(m), run, dim, y.data() + r0, n);

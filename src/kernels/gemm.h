@@ -40,9 +40,10 @@ namespace qserve {
 Tensor gemm_f32_ref(const Tensor& x, const Tensor& w);
 
 // y[t, r] = dot(x[t, :], half(w[r, :])) over binary16 weight bits w [n, k].
-// Runs on the ISA-dispatched attention QK tile kernel: every x row is
-// dotted against each 16-row group of weight rows at once
-// (cpu::AttentionKernels::qk_tile on a KvRunKind::kFp16 run), so the dots
+// Runs on the ISA-dispatched attention kernels: every x row is dotted
+// against each 16-row group of weight rows at once (cpu::AttentionKernels::
+// qk_tile on the group dequantized by dequant_run, or on the binary16 rows
+// in place for a single x row), so the dots
 // inherit the canonical reduction order: 16 virtual lanes,
 // pairwise fold, mul-then-add without FMA, exact half -> float conversion. A
 // dot depends only on its own x row and w row, so y is bitwise identical

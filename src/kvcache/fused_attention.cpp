@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/math_util.h"
 #include "common/parallel.h"
 #include "kernels/cpu/isa.h"
 
@@ -17,12 +18,14 @@ void check_against_cache(const PagedKvCache& cache,
   QS_CHECK_EQ(cfg.head_dim, cache.config().head_dim);
 }
 
-// One row tile of one item: rows [i0, i0 + n_pos) against KV head kv_head.
+// One row tile of one item: rows [i0, i0 + n_pos) and the group's query
+// heads [g0, g0 + n_g) against KV head kv_head.
 struct TileWork {
   int item;
   int kv_head;
   int64_t i0;
   int n_pos;
+  int g0, n_g;
 };
 
 }  // namespace
@@ -48,17 +51,26 @@ void paged_attention(const PagedKvCache& cache,
   std::vector<PagedKvCache::SeqView> views;
   views.reserve(items.size());
   const int64_t tile_pos = std::max(1, kTileQueryRows / group);
-  std::vector<TileWork> work;
-  for (size_t it = 0; it < items.size(); ++it) {
-    const SpanAttentionItem& item = items[it];
+  int64_t n_tiles = 0;
+  for (const SpanAttentionItem& item : items) {
     QS_CHECK_GE(item.n, 1);
     views.push_back(cache.view(item.seq, item.n));
     QS_CHECK_GE(views.back().length(), item.n);
-    for (int h = 0; h < n_kv; ++h)
-      for (int64_t i0 = 0; i0 < item.n; i0 += tile_pos)
-        work.push_back({static_cast<int>(it), kv_head0 + h, i0,
-                        static_cast<int>(std::min(tile_pos, item.n - i0))});
+    n_tiles += n_kv * ceil_div(item.n, tile_pos);
   }
+  const int slices = tile_head_slices(n_tiles, group);
+  std::vector<TileWork> work;
+  work.reserve(static_cast<size_t>(n_tiles * slices));
+  for (size_t it = 0; it < items.size(); ++it)
+    for (int h = 0; h < n_kv; ++h)
+      for (int64_t i0 = 0; i0 < items[it].n; i0 += tile_pos)
+        for (int s = 0; s < slices; ++s) {
+          const int g0 = s * group / slices, g1 = (s + 1) * group / slices;
+          work.push_back(
+              {static_cast<int>(it), kv_head0 + h, i0,
+               static_cast<int>(std::min(tile_pos, items[it].n - i0)), g0,
+               g1 - g0});
+        }
 
   parallel_for(0, static_cast<int64_t>(work.size()), 1,
                [&](int64_t w0, int64_t w1) {
@@ -71,12 +83,12 @@ void paged_attention(const PagedKvCache& cache,
       for (int r = 0; r < kv.num_page_runs(); ++r)
         runs.push_back({kv.k_run(r, tw.kv_head), kv.v_run(r, tw.kv_head),
                         kv.run_token0(r), kv.run_score0(r)});
-      // Local query head of this KV head's group 0, within the slice.
-      const int64_t hoff = int64_t(tw.kv_head - kv_head0) * group *
-                           cfg.head_dim;
+      // Local query head of this tile's first row, within the slice.
+      const int64_t hoff =
+          (int64_t(tw.kv_head - kv_head0) * group + tw.g0) * cfg.head_dim;
       attend_row_tile(ker, runs.data(), static_cast<int>(runs.size()),
                       AttendMask{kv.sink(), kv.window()},
-                      kv.length() - item.n + tw.i0, tw.n_pos, group,
+                      kv.length() - item.n + tw.i0, tw.n_pos, tw.n_g,
                       item.q + tw.i0 * item.ld + hoff, item.ld,
                       item.out + tw.i0 * item.ld + hoff, item.ld,
                       cfg.head_dim, cfg.fp16_accum);

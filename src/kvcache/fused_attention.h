@@ -5,7 +5,8 @@
 // walks the pages, dequantizes each head-vector inline, and accumulates QK /
 // SV products in FP16. This is the CPU counterpart. One executor call builds
 // a work list over (span × KV head × row tile); each tile — consecutive span
-// rows × the GQA query group of one KV head — walks the sequence's page runs
+// rows × the GQA query group of one KV head, or a slice of that group when
+// the step has fewer tiles than pool threads — walks the sequence's page runs
 // in place (PagedKvCache::SeqView) and runs attend_row_tile
 // (kernels/attention.h), which dequantizes each page run once per tile into
 // an L1 float tile for the ISA-dispatched QK/SV kernels. Every row applies
